@@ -10,7 +10,8 @@
 #include <sstream>
 
 #include "jlang/parser.hpp"
-#include "jvm/interpreter.hpp"
+#include "jbc/bcvm.hpp"
+#include "jbc/compiler.hpp"
 #include "perf/perf.hpp"
 #include "stats/protocol.hpp"
 #include "support/strings.hpp"
@@ -47,14 +48,15 @@ int main(int argc, char** argv) {
     perf::PerfRunner runner =
         exact ? perf::PerfRunner::exact() : perf::PerfRunner();
 
+    const jbc::CompiledProgram compiled = jbc::compile(program);
     std::string output;
     auto measureOnce = [&] {
       return runner
           .stat([&](energy::SimMachine& machine) {
-            jvm::Interpreter interp(program, machine);
-            interp.setMaxSteps(2'000'000'000);
-            interp.runMain(mainClass);
-            output = interp.output();
+            jbc::BytecodeVm vm(compiled, machine);
+            vm.setMaxSteps(2'000'000'000);
+            vm.runMain(mainClass);
+            output = vm.output();
           })
           .asRow();
     };

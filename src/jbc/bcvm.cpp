@@ -1,7 +1,11 @@
 #include "jbc/bcvm.hpp"
 
+#include <type_traits>
+
 #include "jvm/ops.hpp"
 #include "jvm/tier.hpp"
+#include "obs/registry.hpp"
+#include "obs/span.hpp"
 
 // Dispatch strategy. Computed goto ("labels as values", a GNU extension
 // GCC and Clang both support) keeps one indirect branch per opcode handler,
@@ -25,30 +29,15 @@ using jvm::Value;
 
 namespace {
 
-/// Per-invocation hook dispatch under tiering (finishInvoke): hooks off,
-/// hooks on (full instrumentation or a sampled-in entry), or counted-only
-/// (unsampled entry — population counter, no hook calls).
-enum : std::uint8_t { kHooksOff = 0, kHooksOn, kHooksCounted };
-
-/// Exit accounting for an unsampled entry executed on the fused
-/// trivial-call path: mirrors the framed ExitGuard, running on normal
-/// return and on every unwind (Thrown and VM aborts alike — the framed
-/// guard's destructor makes no distinction either).
-struct TierCountGuard {
-  jvm::TierGate* gate = nullptr;
-  const jvm::MethodRef* ref = nullptr;
-  ~TierCountGuard() {
-    if (gate != nullptr) gate->exitUnsampled(*ref);
-  }
-};
-
-/// Layout-offset field lookup for the dynamic (name-keyed) field opcodes —
-/// the fallback shapes the compiler emits when a site could not be cached.
-Value* fieldByName(HeapObject& ho, const std::string& fieldName) {
-  if (ho.layout == nullptr) return nullptr;
-  const int i = ho.layout->indexOfName(fieldName);
-  if (i < 0) return nullptr;
-  return &ho.fields[static_cast<std::size_t>(i)];
+/// Adds one VM run's step and heap-allocation deltas to the global obs
+/// counters, in the tree's units and at the tree's points (once per
+/// completed entry-point call).
+void flushVmCounters(std::uint64_t stepsDelta, std::size_t heapDelta) {
+  static obs::Counter& steps = obs::Registry::global().counter("vm.steps");
+  static obs::Counter& heapObjects =
+      obs::Registry::global().counter("vm.heap.objects");
+  steps.add(stepsDelta);
+  heapObjects.add(heapDelta);
 }
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -62,14 +51,12 @@ Value* fieldByName(HeapObject& ho, const std::string& fieldName) {
 /// int×int binary fast path, bit-exact with applyBinary (ops.cpp): for two
 /// kInt operands unboxIfNeeded is the identity and charges nothing, there
 /// is no sub-int widening charge, the promoted kind is kInt, and the string
-/// / reference-equality / boolean special cases never apply. Returns false
-/// (charging nothing) for any other operand shape. Forced inline so the
-/// dominant int path stays inside each dispatch handler.
-JEPO_FORCE_INLINE bool fastIntBinary(jlang::BinOp op, const Value& a,
-                                     const Value& b, BuiltinLibrary& lib,
-                                     energy::SimMachine& machine,
-                                     Value* out) {
-  if (a.kind != ValKind::kInt || b.kind != ValKind::kInt) return false;
+/// / reference-equality / boolean special cases never apply. Operators it
+/// does not cover (none reach it today) fall back to applyBinary.
+JEPO_FORCE_INLINE Value intBinary(jlang::BinOp op, const Value& a,
+                                  const Value& b, jvm::Heap& heap,
+                                  BuiltinLibrary& lib,
+                                  energy::SimMachine& machine, int line) {
   const std::int64_t x = a.asInt();
   const std::int64_t y = b.asInt();
   bool cmp = false;
@@ -127,20 +114,17 @@ JEPO_FORCE_INLINE bool fastIntBinary(jlang::BinOp op, const Value& a,
       r = x >> (y & 31);
       break;
     default:
-      return false;  // &&/|| never reach kBinary; keep applyBinary's error
+      return jvm::applyBinary(op, a, b, heap, lib, machine, line);
   }
   // wrapToKind(r, kInt) inlined: sign-extended int32 truncation.
-  *out = Value::ofInt(static_cast<std::int64_t>(static_cast<std::int32_t>(r)));
-  return true;
+  return Value::ofInt(static_cast<std::int64_t>(static_cast<std::int32_t>(r)));
 compared:
   machine.charge(energy::Op::kIntAlu);
-  *out = Value::ofBool(cmp);
-  return true;
+  return Value::ofBool(cmp);
 }
 
 /// coerceToKind with its identity head (same kind, or a kRef target)
-/// inlined at the call site — the overwhelmingly common already-typed case
-/// skips the out-of-line call. Bit-exact: these are the first two lines of
+/// inlined at the call site. Bit-exact: these are the first two lines of
 /// jvm::coerceToKind, which charge nothing.
 JEPO_FORCE_INLINE Value coerceInline(const Value& v, ValKind k,
                                      BuiltinLibrary& lib, int line) {
@@ -148,40 +132,46 @@ JEPO_FORCE_INLINE Value coerceInline(const Value& v, ValKind k,
   return jvm::coerceToKind(v, k, lib, line);
 }
 
-/// The kThisFieldAccumReturn body (`f1 = f1 <op> f2; return f1;`), shared
-/// by the trivial-callee inline helpers. Replays the seed charge sequence
-/// exactly; `self` stays valid across an allocating binary because heap
-/// addresses are stable between safepoints.
-JEPO_FORCE_INLINE Value fieldAccumReturnImpl(const Instr& in0,
-                                             const Value& thisV,
-                                             jvm::Heap& heap,
-                                             jvm::BuiltinLibrary& builtins,
-                                             energy::SimMachine& machine) {
-  const std::int32_t aa = in0.a;
-  const std::size_t o1 = static_cast<std::size_t>(aa & 0xFFF);
-  machine.charge(energy::Op::kFieldAccess);
-  HeapObject& self = heap.get(thisV.asRef());
-  const Value a = self.fields[o1];
-  machine.charge(energy::Op::kFieldAccess);
-  const Value b = self.fields[static_cast<std::size_t>((aa >> 12) & 0xFFF)];
-  Value r;
-  if (!fastIntBinary(static_cast<jlang::BinOp>(in0.b & 0xFF), a, b, builtins,
-                     machine, &r)) {
-    r = jvm::applyBinary(static_cast<jlang::BinOp>(in0.b & 0xFF), a, b, heap,
-                         builtins, machine, in0.line);
+/// Decrements the frame depth on every exit path.
+struct DepthGuard {
+  std::size_t* depth;
+  ~DepthGuard() { --*depth; }
+};
+
+#if defined(__GNUC__) || defined(__clang__)
+#define JEPO_COLD __attribute__((noinline, cold))
+#else
+#define JEPO_COLD
+#endif
+
+template <typename Piece>
+void appendPiece(std::string& message, const Piece& piece) {
+  if constexpr (std::is_integral_v<Piece>) {
+    message += std::to_string(piece);
+  } else {
+    message += piece;
   }
-  const std::int32_t castE = (in0.b >> 8) & 0xF;
-  if (castE != 15) {
-    r = coerceInline(r, static_cast<ValKind>(castE), builtins, in0.line);
-  }
-  machine.charge(energy::Op::kFieldAccess);
-  Value& field = self.fields[o1];
-  if (field.isNumeric() && r.isNumeric()) {
-    r = coerceInline(r, field.kind, builtins, in0.line);
-  }
-  field = r;
-  machine.charge(energy::Op::kFieldAccess);
-  return field;
+}
+
+template <typename... Pieces>
+std::string concat(const Pieces&... pieces) {
+  std::string message;
+  (appendPiece(message, pieces), ...);
+  return message;
+}
+
+// Error raisers for the dispatch loop's cold paths. Building messages out
+// of line keeps their temporaries out of run()'s frame, which recurses
+// once per MiniJava call.
+template <typename... Pieces>
+[[noreturn]] JEPO_COLD void raiseVmError(const Pieces&... pieces) {
+  throw VmError(concat(pieces...));
+}
+
+template <typename... Pieces>
+[[noreturn]] JEPO_COLD void raiseJava(BuiltinLibrary& lib, const char* cls,
+                                      const Pieces&... pieces) {
+  lib.throwJava(cls, concat(pieces...));
 }
 
 }  // namespace
@@ -191,9 +181,10 @@ BytecodeVm::BytecodeVm(const CompiledProgram& program,
     : program_(&program),
       resolution_(program.resolution),
       machine_(&machine),
-      builtins_(heap_, machine, out_, [this](const std::string& name) {
-        return program_->findClass(name) != nullptr;
-      }),
+      builtins_(heap_, machine, out_,
+                [this](const std::string& name) {
+                  return resolution_->classIdOf(name) >= 0;
+                }),
       gc_(heap_, [this](jvm::Gc::RootWalker& w) { scanGcRoots(w); }) {
   gc_.setLimit(jvm::Gc::limitFromEnv());
   gc_.setPostCompact([this] {
@@ -206,7 +197,7 @@ BytecodeVm::BytecodeVm(const CompiledProgram& program,
   const jlang::Resolution& res = *resolution_;
   statics_.assign(static_cast<std::size_t>(res.staticCount), Value::null());
   classInitDone_.assign(res.classes.size(), 0);
-  literalByName_.assign(program.names.size(), kNullRef);
+  literalPool_.assign(res.stringLiterals.size(), kNullRef);
   callCaches_.assign(static_cast<std::size_t>(res.numCallCaches),
                      CallCacheEntry{});
   fieldCaches_.assign(static_cast<std::size_t>(res.numFieldCaches),
@@ -215,47 +206,11 @@ BytecodeVm::BytecodeVm(const CompiledProgram& program,
   methodChunks_.resize(res.classes.size());
   staticDefaults_.resize(res.classes.size());
   objectTemplates_.resize(res.classes.size());
-  codeById_.assign(program.chunkCount, nullptr);
-  quickened_.resize(program.chunkCount);
-  // Classify trivial callees once: a single fused accessor instruction, no
-  // exception table, and every slot it reads is a parameter slot (so the
-  // body never touches a default-initialized local).
-  trivialKind_.assign(program.chunkCount, kNotTrivial);
-  const auto classify = [this](const Chunk& ch) {
-    if (!ch.handlers.empty() || ch.code.empty() ||
-        ch.chunkId >= trivialKind_.size()) {
-      return;
-    }
-    const Instr& in0 = ch.code[0];
-    const auto nParams = static_cast<std::int32_t>(ch.paramKinds.size());
-    std::uint8_t kind = kNotTrivial;
-    switch (in0.op) {
-      case Op::kLoadLoadBinaryReturn:
-        if (in0.a < nParams && (in0.b & 0xFFFFF) < nParams) {
-          kind = kTrivLoadLoadBinaryReturn;
-        }
-        break;
-      case Op::kLoadReturn:
-        if (in0.a < nParams) kind = kTrivLoadReturn;
-        break;
-      case Op::kThisFieldReturn:
-        if (nParams >= 1) kind = kTrivThisFieldReturn;
-        break;
-      case Op::kThisFieldAccumReturn:
-        if (nParams >= 1) kind = kTrivThisFieldAccumReturn;
-        break;
-      default:
-        break;
-    }
-    trivialKind_[ch.chunkId] = kind;
-  };
-  for (const auto& [clsName, compiled] : program.classes) {
-    (void)clsName;
-    classify(compiled.clinit);
-    classify(compiled.initFields);
-    for (const auto& [methodName, m] : compiled.methods) {
-      (void)methodName;
-      classify(m);
+  ctorById_.assign(res.classes.size(), nullptr);
+  for (std::size_t i = 0; i < program.names.size(); ++i) {
+    if (program.names[i] == "length") {
+      lengthName_ = static_cast<std::int32_t>(i);
+      break;
     }
   }
   for (std::size_t id = 0; id < res.classes.size(); ++id) {
@@ -274,21 +229,28 @@ BytecodeVm::BytecodeVm(const CompiledProgram& program,
       const auto it = cls->methods.find(rm.decl->name);
       chunks.push_back(it == cls->methods.end() ? nullptr : &it->second);
     }
+    if (rc.ctor != nullptr) {
+      const auto it = cls->methods.find(rc.ctor->name);
+      if (it != cls->methods.end()) ctorById_[id] = &it->second;
+    }
     for (const CompiledField& f : cls->fields) {
       if (f.isStatic) {
         const int idx = rc.staticIndexOf(f.name);
-        if (idx >= 0) staticDefaults_[id].emplace_back(rc.staticSlots[idx],
-                                                       f.kind);
-      } else {
-        objectTemplates_[id].push_back(jvm::Heap::defaultValue(f.kind));
+        if (idx >= 0) {
+          staticDefaults_[id].emplace_back(rc.staticSlots[idx], f.kind);
+        }
       }
+    }
+    for (const jlang::TypeRef& t : rc.layout.fieldTypes) {
+      objectTemplates_[id].push_back(
+          jvm::Heap::defaultValue(jvm::kindOfType(t)));
     }
   }
 }
 
 void BytecodeVm::throwStepLimit() const {
-  throw VmError("bytecode step limit exceeded (" +
-                std::to_string(maxSteps_) + ")");
+  throw VmError("step limit exceeded (" + std::to_string(maxSteps_) +
+                "): possible runaway loop");
 }
 
 void BytecodeVm::throwCancelled() const {
@@ -301,6 +263,8 @@ void BytecodeVm::chargeRowLoad(Ref array, std::int64_t index,
     charge(energy::Op::kArrayAccess);
     return;
   }
+  // Loading a row object of a 2-D array: consecutive hits on the same row
+  // stay in the row cache; column-major traversal misses every time.
   if (array == lastRowArray_ && index == lastRowIndex_) {
     charge(energy::Op::kArrayAccess);
   } else {
@@ -311,11 +275,11 @@ void BytecodeVm::chargeRowLoad(Ref array, std::int64_t index,
 }
 
 void BytecodeVm::ensureClassInit(const std::string& className) {
-  const std::int32_t id = resolution_->classIdOf(className);
-  if (id >= 0) ensureClassInitById(id);
+  ensureClassInitById(resolution_->classIdOf(className));
 }
 
 void BytecodeVm::ensureClassInitById(std::int32_t classId) {
+  if (classId < 0) return;
   const auto idx = static_cast<std::size_t>(classId);
   if (classInitDone_[idx] != 0) return;
   classInitDone_[idx] = 1;  // marked before <clinit>: recursion guard
@@ -324,16 +288,17 @@ void BytecodeVm::ensureClassInitById(std::int32_t classId) {
   for (const auto& [slot, kind] : staticDefaults_[idx]) {
     statics_[static_cast<std::size_t>(slot)] = jvm::Heap::defaultValue(kind);
   }
-  // Fusion never produces an empty chunk and kReturnVoid never fuses, so a
-  // non-trivial <clinit> still has > 1 instructions post-fusion.
-  if (cls->clinit.code.size() > 1) {
-    invoke(*cls, cls->clinit, {});
+  if (!cls->clinit.code.empty()) {
+    runInitializers(*cls, cls->clinit, Value::null());
   }
 }
 
 jvm::Value* BytecodeVm::findStaticByName(const std::string& className,
                                          const std::string& fieldName) {
+  // Seed order: initialization (and its charges) happens before the
+  // lookup can fail.
   const std::int32_t id = resolution_->classIdOf(className);
+  ensureClassInitById(id);
   if (id < 0) return nullptr;
   const jlang::ResolvedClass& rc =
       resolution_->classes[static_cast<std::size_t>(id)];
@@ -352,14 +317,17 @@ jvm::Value BytecodeVm::allocArray(const std::vector<std::int64_t>& dims,
   const Ref r = heap_.allocArray(n, ek);
   if (!innermost) {
     for (std::size_t i = 0; i < n; ++i) {
-      heap_.get(r).elems[i] = allocArray(dims, level + 1, leafKind);
+      const Value child = allocArray(dims, level + 1, leafKind);
+      heap_.get(r).elems[i] = child;
     }
   }
   return Value::ofRef(r);
 }
 
 jvm::Value BytecodeVm::construct(const std::string& className,
-                                 std::vector<Value> args, int line) {
+                                 std::vector<Value>& args, int line) {
+  // Builtin constructors (StringBuilder, String, undeclared exception-style
+  // classes) win, as in the tree.
   Value builtinResult;
   if (builtins_.construct(className, args, &builtinResult)) {
     return builtinResult;
@@ -369,38 +337,29 @@ jvm::Value BytecodeVm::construct(const std::string& className,
     throw VmError("unknown class " + className + " at line " +
                   std::to_string(line));
   }
-  return constructById(id, std::move(args));
+  return constructById(id, args.data(), args.size());
 }
 
-jvm::Value BytecodeVm::constructById(std::int32_t classId,
-                                     std::vector<Value> args) {
-  // args live across <clinit>, <initfields> and constructor safepoints.
-  jvm::Gc::ScopedVector rootArgs(gc_, args);
-  return constructByIdSpan(classId, args.data(), args.size());
-}
-
-jvm::Value BytecodeVm::constructByIdSpan(std::int32_t classId,
-                                         const Value* args,
-                                         std::size_t argc) {
+jvm::Value BytecodeVm::constructById(std::int32_t classId, const Value* args,
+                                     std::size_t argc) {
   const auto idx = static_cast<std::size_t>(classId);
   const CompiledClass& cls = *classById_[idx];
   const jlang::ResolvedClass& rc = resolution_->classes[idx];
   charge(energy::Op::kAllocObject);
-  // Span callers keep args on the caller's (rooted) operand stack; the
-  // fresh object is only reachable through `r` until returned.
+  // Callers keep args in rooted storage across the <clinit>, initializer
+  // and constructor safepoints; the fresh object is only reachable through
+  // `r` until the constructor returns it.
   ensureClassInitById(classId);
   Ref r = heap_.allocObject(cls.name, rc.layout);
   jvm::Gc::ScopedRef rootR(gc_, r);
   heap_.get(r).fields = objectTemplates_[idx];
-  if (cls.initFields.code.size() > 1) {
-    invokeRecvSpan(cls, cls.initFields, Value::ofRef(r), nullptr, 0);
+  if (!cls.initFields.code.empty()) {
+    runInitializers(cls, cls.initFields, Value::ofRef(r));
   }
-  const auto ctor = cls.methods.find(cls.name);
-  if (ctor != cls.methods.end()) {
-    invokeRecvSpan(cls, ctor->second, Value::ofRef(r), args, argc);
-  } else {
-    JEPO_REQUIRE(argc == 0,
-                 "class " + cls.name + " has no constructor taking args");
+  if (rc.ctor != nullptr) {
+    invoke(cls, *ctorById_[idx], Value::ofRef(r), args, argc);
+  } else if (argc != 0) {
+    throw VmError("class " + cls.name + " has no constructor taking args");
   }
   return Value::ofRef(r);
 }
@@ -411,291 +370,160 @@ BytecodeVm::Frame& BytecodeVm::acquireFrame(const Chunk& chunk) {
   }
   Frame& f = *framePool_[frameDepth_];
   const auto nSlots = static_cast<std::size_t>(chunk.numSlots);
-  // +2: one for the exception push on handler entry of a zero-depth chunk,
-  // one safety margin over the dataflow bound.
-  const auto nStack = static_cast<std::size_t>(chunk.maxStack) + 2;
+  // +1: a safety margin over the dataflow bound.
+  const auto nStack = static_cast<std::size_t>(chunk.maxStack) + 1;
   if (f.slots.size() < nSlots) f.slots.resize(nSlots);
   if (f.stack.size() < nStack) f.stack.resize(nStack);
-  // Parameter slots are written by every caller before the frame goes
-  // live (the argc REQUIREs run before acquire), so only the locals past
-  // them need the default-null reset.
-  const auto nParams = chunk.paramKinds.size();
-  if (nParams < nSlots) {
-    std::fill(f.slots.data() + nParams, f.slots.data() + nSlots, Value());
-  }
+  std::fill(f.slots.data(), f.slots.data() + nSlots, Value());
   f.liveSlots = nSlots;
   f.top = 0;
   return f;
 }
 
 jvm::Value BytecodeVm::invoke(const CompiledClass& cls, const Chunk& chunk,
-                              std::vector<Value> args) {
+                              Value thisV, const Value* args,
+                              std::size_t argc) {
   if (frameDepth_ >= kMaxFrames) {
     throwJava("StackOverflowError", chunk.qualifiedName);
   }
-  JEPO_REQUIRE(args.size() == chunk.paramKinds.size(),
-               "wrong argument count for " + chunk.qualifiedName);
+  if (argc != chunk.paramKinds.size()) {
+    throw VmError("wrong argument count for " + chunk.qualifiedName);
+  }
   Frame& frame = acquireFrame(chunk);
-  Value* const slots = frame.slots.data();
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    charge(energy::Op::kLocalAccess);
-    slots[i] = coerceInline(args[i], chunk.paramKinds[i], builtins_, 0);
-  }
-  return finishInvoke(cls, chunk, frame);
-}
-
-jvm::Value BytecodeVm::invokeSpan(const CompiledClass& cls,
-                                  const Chunk& chunk, const Value* args,
-                                  std::size_t argc) {
-  if (frameDepth_ >= kMaxFrames) {
-    throwJava("StackOverflowError", chunk.qualifiedName);
-  }
-  JEPO_REQUIRE(argc == chunk.paramKinds.size(),
-               "wrong argument count for " + chunk.qualifiedName);
-  Frame& frame = acquireFrame(chunk);
-  Value* const slots = frame.slots.data();
-  for (std::size_t i = 0; i < argc; ++i) {
-    charge(energy::Op::kLocalAccess);
-    slots[i] = coerceInline(args[i], chunk.paramKinds[i], builtins_, 0);
-  }
-  return finishInvoke(cls, chunk, frame);
-}
-
-jvm::Value BytecodeVm::invokeRecvSpan(const CompiledClass& cls,
-                                      const Chunk& chunk, const Value& recv,
-                                      const Value* rest, std::size_t nRest) {
-  if (frameDepth_ >= kMaxFrames) {
-    throwJava("StackOverflowError", chunk.qualifiedName);
-  }
-  JEPO_REQUIRE(nRest + 1 == chunk.paramKinds.size(),
-               "wrong argument count for " + chunk.qualifiedName);
-  Frame& frame = acquireFrame(chunk);
-  Value* const slots = frame.slots.data();
-  charge(energy::Op::kLocalAccess);
-  slots[0] = coerceInline(recv, chunk.paramKinds[0], builtins_, 0);
-  for (std::size_t i = 0; i < nRest; ++i) {
-    charge(energy::Op::kLocalAccess);
-    slots[i + 1] = coerceInline(rest[i], chunk.paramKinds[i + 1],
-                                builtins_, 0);
-  }
-  return finishInvoke(cls, chunk, frame);
-}
-
-jvm::Value BytecodeVm::finishInvoke(const CompiledClass& cls,
-                                    const Chunk& chunk, Frame& frame) {
-  // The frame becomes visible to the GC root scan only now, fully
-  // initialized; no safepoint can run between acquireFrame and here.
+  frame.thisV = thisV;
+  // Parameter slots are filled below, after onEnter (the tree's order);
+  // until then the arguments stay rooted in the caller's storage, and no
+  // safepoint can run in between.
   ++frameDepth_;
-  const jvm::MethodRef ref{chunk.methodId, &chunk.qualifiedName};
-  // Tier dispatch: a branch on the hoisted gate pointer (see setHooks).
-  // No gate (full instrumentation) keeps the seed-exact path; an
-  // unsampled entry pays the gate's counter increment and skips both
-  // hook calls — no MSR reads, no record allocation.
-  std::uint8_t hookMode = kHooksOff;
-  if (hooks_ != nullptr) {
-    hookMode = (tier_ == nullptr || tier_->enter(ref)) ? kHooksOn
-                                                       : kHooksCounted;
-  }
-  if (hookMode == kHooksOn) hooks_->onEnter(ref);
-  struct ExitGuard {
-    BytecodeVm* self;
-    const jvm::MethodRef* ref;
-    std::uint8_t mode;
-    ~ExitGuard() {
-      if (mode == kHooksOn) {
-        self->hooks_->onExit(*ref);
-      } else if (mode == kHooksCounted) {
-        self->tier_->exitUnsampled(*ref);
-      }
-      --self->frameDepth_;
-    }
-  } guard{this, &ref, hookMode};
+  DepthGuard depth{&frameDepth_};
 
-  const Value result = run(cls, chunk, frame);
-  charge(energy::Op::kReturn);
+  const jvm::MethodRef ref{chunk.methodId,
+                           &resolution_->methodNames[chunk.methodId]};
+  // Tier dispatch: a branch on the hoisted gate pointer. No gate (full
+  // instrumentation) takes the seed-exact path; an unsampled entry pays
+  // the gate's counter increment and skips both hook calls.
+  enum : std::uint8_t { kOff, kOn, kCounted } hookMode = kOff;
+  if (hooks_ != nullptr) {
+    hookMode = (tier_ == nullptr || tier_->enter(ref)) ? kOn : kCounted;
+  }
+  if (hookMode == kOn) hooks_->onEnter(ref);
+  const bool tracing = obs::enabled();
+  if (tracing) obs::beginSpan(*ref.qualifiedName);
+
+  // Hook contract (as in the tree): onExit runs for normal returns and for
+  // Java exceptions unwinding through the method; a VM abort (step limit,
+  // cancel, runtime error) leaves the hook's frame open for
+  // Instrumenter::unwindAbortedFrames to flush as a truncated record.
+  try {
+    Value* const slots = frame.slots.data();
+    for (std::size_t i = 0; i < argc; ++i) {
+      const Value v = coerceInline(args[i], chunk.paramKinds[i], builtins_,
+                                   chunk.line);
+      charge(energy::Op::kLocalAccess);
+      slots[i] = v;
+    }
+    retVal_ = Value::null();
+    run(cls, chunk, frame);
+    charge(energy::Op::kReturn);
+  } catch (const Thrown&) {
+    if (hookMode == kOn) {
+      hooks_->onExit(ref);
+    } else if (hookMode == kCounted) {
+      tier_->exitUnsampled(ref);
+    }
+    if (tracing) obs::endSpan();
+    throw;
+  } catch (...) {
+    if (tracing) obs::endSpan();
+    throw;
+  }
+  const Value out = retVal_;
+  if (hookMode == kOn) {
+    hooks_->onExit(ref);
+  } else if (hookMode == kCounted) {
+    tier_->exitUnsampled(ref);
+  }
+  if (tracing) obs::endSpan();
+  return out;
+}
+
+void BytecodeVm::runInitializers(const CompiledClass& cls, const Chunk& chunk,
+                                 Value thisV) {
+  Frame& frame = acquireFrame(chunk);
+  frame.thisV = thisV;
+  ++frameDepth_;
+  DepthGuard depth{&frameDepth_};
+  run(cls, chunk, frame);
+}
+
+// The handlers below own vectors or scoped GC roots, so they run out of
+// line: every RAII object is destroyed before the handler dispatches onward
+// (computed goto skips destructors), and run()'s own frame — one per
+// MiniJava call — stays small. Their operands stay on the caller's stack.
+
+jvm::Value BytecodeVm::newArray(const Instr& in, const Value* dimValues) {
+  std::vector<std::int64_t> dims(static_cast<std::size_t>(in.a));
+  for (std::size_t i = 0; i < dims.size(); ++i) dims[i] = dimValues[i].asInt();
+  return allocArray(dims, 0, static_cast<ValKind>(in.b));
+}
+
+jvm::Value BytecodeVm::newDynamic(const Instr& in, const Value* args) {
+  std::vector<Value> argv(args, args + in.b);
+  jvm::Gc::ScopedVector rootArgs(gc_, argv);
+  return construct(program_->names[static_cast<std::size_t>(in.a)], argv,
+                   in.line);
+}
+
+jvm::Value BytecodeVm::callBuiltin(const Instr& in, const Value* args) {
+  std::vector<Value> argv(args, args + in.c);
+  const std::string& cls = program_->names[static_cast<std::size_t>(in.a)];
+  const std::string& method = program_->names[static_cast<std::size_t>(in.b)];
+  Value result;
+  if (!builtins_.staticCall(cls, method, argv, &result)) {
+    raiseVmError("unknown method ", cls, ".", method, " at line ", in.line);
+  }
   return result;
 }
 
-// Trivial-callee inlining. The framed flow for an eligible call is: depth
-// check, argc check, per-argument {charge(kLocalAccess); identity coerce},
-// callee VM_TOP (steps += n, limit check, safepoint with the new frame's
-// top = 0), the single fused body instruction, charge(kReturn). Both
-// helpers replay exactly that sequence without acquiring a frame. The
-// identity coercions are guaranteed by the kind precheck (every argument
-// kind already equals its parameter kind, or the parameter is kRef — the
-// exact first test of coerceToKind), which also means no throw can land
-// between the argument charges, so they merge into one counted charge.
-// The safepoint sees the same root object set as the framed flow: the
-// arguments are still live on the caller's stack under frame.top (recorded
-// at the call's own dispatch before sp was lowered — fused load-load call
-// handlers re-record it after pushing their argument pair), and the callee
-// frame it replaces held only copies of those values plus null locals. Argument
-// values are re-read through the caller's rooted storage *after* the
-// safepoint, so a compaction's remaps are observed just as callee-frame
-// slots would have been.
-bool BytecodeVm::inlineSpanCall(const Chunk& chunk, const Value* args,
-                                std::size_t argc, Value* out) {
-  if (chunk.chunkId >= trivialKind_.size()) return false;
-  const jvm::MethodRef ref{chunk.methodId, &chunk.qualifiedName};
-  // With hooks installed the call may stay fused only if a sampling gate
-  // declines this entry — peek (no ordinal commit yet: a framed bailout
-  // below must not double-count) and fall back to the framed path for
-  // instrumented entries.
-  if (hooks_ != nullptr && (tier_ == nullptr || tier_->peekAdmit(ref))) {
-    return false;
-  }
-  const std::uint8_t triv = trivialKind_[chunk.chunkId];
-  if (triv == kNotTrivial) return false;
-  if (argc != chunk.paramKinds.size()) return false;
-  for (std::size_t i = 0; i < argc; ++i) {
-    const ValKind k = chunk.paramKinds[i];
-    if (args[i].kind != k && k != ValKind::kRef) return false;
-  }
-  if (frameDepth_ >= kMaxFrames) {
-    throwJava("StackOverflowError", chunk.qualifiedName);
-  }
-  // Point of no return: commit the unsampled entry to the gate, with exit
-  // accounting on every unwind — the same paths the framed ExitGuard runs.
-  TierCountGuard countGuard;
-  if (hooks_ != nullptr) {
-    tier_->enter(ref);
-    countGuard.gate = tier_;
-    countGuard.ref = &ref;
-  }
-  if (argc != 0) charge(energy::Op::kLocalAccess, argc);
-  const Instr& in0 = chunk.code[0];
-  steps_ += in0.n;
-  if (steps_ > maxStepsEff_) throwStepLimit();
-  if (gc_.limit() != 0) gc_.safepoint();
+jvm::Value BytecodeVm::invokeVirtualSlow(const Instr& in,
+                                         const Value& receiver,
+                                         const Value* args) {
+  const std::string& method = program_->names[static_cast<std::size_t>(in.a)];
+  std::vector<Value> argv(args, args + in.b);
   Value result;
-  switch (triv) {
-    case kTrivLoadLoadBinaryReturn: {
-      const std::int32_t bb = in0.b;
-      charge(energy::Op::kLocalAccess, 2);
-      const Value a = args[static_cast<std::size_t>(in0.a)];
-      const Value b = args[static_cast<std::size_t>(bb & 0xFFFFF)];
-      if (!fastIntBinary(static_cast<jlang::BinOp>((bb >> 20) & 0x1F), a, b,
-                         builtins_, *machine_, &result)) {
-        result = jvm::applyBinary(static_cast<jlang::BinOp>((bb >> 20) & 0x1F),
-                                  a, b, heap_, builtins_, *machine_, in0.line);
-      }
-      break;
-    }
-    case kTrivLoadReturn:
-      charge(energy::Op::kLocalAccess);
-      result = args[static_cast<std::size_t>(in0.a)];
-      break;
-    case kTrivThisFieldAccumReturn:
-      result = fieldAccumReturnImpl(in0, args[0], heap_, builtins_,
-                                   *machine_);
-      break;
-    default:  // kTrivThisFieldReturn
-      charge(energy::Op::kFieldAccess);
-      result = heap_.get(args[0].asRef())
-                   .fields[static_cast<std::size_t>(in0.a)];
-      break;
+  if (builtins_.instanceCall(receiver, method, argv, &result)) return result;
+  const HeapObject& obj = heap_.get(receiver.asRef());
+  if (obj.kind != ObjKind::kObject) raiseVmError("method call on non-object");
+  const std::int32_t id = resolution_->classIdOf(obj.className);
+  if (id < 0 || classById_[static_cast<std::size_t>(id)] == nullptr) {
+    raiseVmError("method call on unknown class ", obj.className);
   }
-  charge(energy::Op::kReturn);
-  *out = result;
-  return true;
+  const jlang::ResolvedClass& rc =
+      resolution_->classes[static_cast<std::size_t>(id)];
+  const jlang::ResolvedMethod* rm = rc.findMethod(method);
+  if (rm == nullptr) {
+    raiseVmError("unknown method ", obj.className, ".", method, " at line ",
+                 in.line);
+  }
+  jvm::Gc::ScopedVector rootArgs(gc_, argv);
+  Value recv = receiver;
+  jvm::Gc::ScopedValue rootRecv(gc_, recv);
+  charge(energy::Op::kCall);
+  return invoke(*classById_[static_cast<std::size_t>(id)],
+                *methodChunks_[static_cast<std::size_t>(id)]
+                              [static_cast<std::size_t>(
+                                  rc.methodOrdinal(rm->decl))],
+                recv, argv.data(), argv.size());
 }
 
-bool BytecodeVm::inlineRecvCall(const Chunk& chunk, const Value& recv,
-                                const Value* rest, std::size_t nRest,
-                                Value* out) {
-  if (chunk.chunkId >= trivialKind_.size()) return false;
-  const jvm::MethodRef ref{chunk.methodId, &chunk.qualifiedName};
-  if (hooks_ != nullptr && (tier_ == nullptr || tier_->peekAdmit(ref))) {
-    return false;
-  }
-  const std::uint8_t triv = trivialKind_[chunk.chunkId];
-  if (triv == kNotTrivial) return false;
-  if (nRest + 1 != chunk.paramKinds.size()) return false;
-  if (recv.kind != chunk.paramKinds[0] &&
-      chunk.paramKinds[0] != ValKind::kRef) {
-    return false;
-  }
-  for (std::size_t i = 0; i < nRest; ++i) {
-    const ValKind k = chunk.paramKinds[i + 1];
-    if (rest[i].kind != k && k != ValKind::kRef) return false;
-  }
-  if (frameDepth_ >= kMaxFrames) {
-    throwJava("StackOverflowError", chunk.qualifiedName);
-  }
-  TierCountGuard countGuard;
-  if (hooks_ != nullptr) {
-    tier_->enter(ref);
-    countGuard.gate = tier_;
-    countGuard.ref = &ref;
-  }
-  charge(energy::Op::kLocalAccess, nRest + 1);
-  const Instr& in0 = chunk.code[0];
-  steps_ += in0.n;
-  if (steps_ > maxStepsEff_) throwStepLimit();
-  if (gc_.limit() != 0) gc_.safepoint();
-  // recv binds the caller's slot 0 and rest the caller's stack — both
-  // rooted storage, so these reads observe any compaction remaps.
-  const auto slotVal = [&](std::int32_t s) -> const Value& {
-    return s == 0 ? recv : rest[static_cast<std::size_t>(s) - 1];
-  };
-  Value result;
-  switch (triv) {
-    case kTrivLoadLoadBinaryReturn: {
-      const std::int32_t bb = in0.b;
-      charge(energy::Op::kLocalAccess, 2);
-      const Value a = slotVal(in0.a);
-      const Value b = slotVal(bb & 0xFFFFF);
-      if (!fastIntBinary(static_cast<jlang::BinOp>((bb >> 20) & 0x1F), a, b,
-                         builtins_, *machine_, &result)) {
-        result = jvm::applyBinary(static_cast<jlang::BinOp>((bb >> 20) & 0x1F),
-                                  a, b, heap_, builtins_, *machine_, in0.line);
-      }
-      break;
-    }
-    case kTrivLoadReturn:
-      charge(energy::Op::kLocalAccess);
-      result = slotVal(in0.a);
-      break;
-    case kTrivThisFieldAccumReturn:
-      result = fieldAccumReturnImpl(in0, recv, heap_, builtins_,
-                                   *machine_);
-      break;
-    default:  // kTrivThisFieldReturn
-      charge(energy::Op::kFieldAccess);
-      result = heap_.get(recv.asRef())
-                   .fields[static_cast<std::size_t>(in0.a)];
-      break;
-  }
-  charge(energy::Op::kReturn);
-  *out = result;
-  return true;
-}
-
-Instr* BytecodeVm::quickenableCode(const Chunk& chunk) {
-  const std::size_t id = chunk.chunkId;
-  if (id >= quickened_.size() || chunk.code.empty()) return nullptr;
-  std::vector<Instr>& copy = quickened_[id];
-  if (copy.empty()) {
-    copy.assign(chunk.code.begin(), chunk.code.end());
-    codeById_[id] = copy.data();
-  }
-  return copy.data();
-}
-
-jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
-                           Frame& frame) {
+void BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
+                     Frame& frame) {
   const auto& names = program_->names;
   const auto name = [&](std::int32_t idx) -> const std::string& {
     return names[static_cast<std::size_t>(idx)];
   };
 
-  // Dispatch from the quickened copy when one exists; `codeBase`/`ip` are
-  // re-pointed in place if this very run performs the first quickening.
-  const Instr* codeBase =
-      chunk.chunkId < codeById_.size() && codeById_[chunk.chunkId] != nullptr
-          ? codeById_[chunk.chunkId]
-          : chunk.code.data();
-  const Instr* codeEnd = codeBase + chunk.code.size();
+  const Instr* const codeBase = chunk.code.data();
   const Instr* ip = codeBase;
   Value* const slots = frame.slots.data();
   Value* const stackBase = frame.stack.data();
@@ -705,169 +533,72 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
     JEPO_ASSERT(sp > stackBase);
     return *--sp;
   };
-  const auto popArgs = [&](std::int32_t argc) {
-    JEPO_ASSERT(sp - stackBase >= argc);
-    std::vector<Value> args(sp - argc, sp);
-    sp -= argc;
-    return args;
-  };
   const auto binary = [&](jlang::BinOp op, const Value& a, const Value& b,
                           int line) JEPO_LAMBDA_INLINE -> Value {
-    Value r;
-    if (fastIntBinary(op, a, b, builtins_, *machine_, &r)) [[likely]] {
-      return r;
+    if (a.kind == ValKind::kInt && b.kind == ValKind::kInt) [[likely]] {
+      return intBinary(op, a, b, heap_, builtins_, *machine_, line);
     }
     return jvm::applyBinary(op, a, b, heap_, builtins_, *machine_, line);
   };
-  // The seed kStore coercion rule; enc < 0 and the 4-bit kNoKindEnc (15)
-  // both mean "no declared kind". Charges the kLocalAccess of the store.
-  const auto storeToSlot = [&](std::int32_t slot, std::int32_t kindEnc,
-                               Value v, int line) {
+  // The tree's storeTo(local): charge, then narrow to the local's current
+  // kind when both values are numeric.
+  const auto storeLocal = [&](std::int32_t slot, Value v, int line)
+                              JEPO_LAMBDA_INLINE {
+    Value& local = slots[static_cast<std::size_t>(slot)];
     charge(energy::Op::kLocalAccess);
-    if (kindEnc >= 0 && kindEnc < 15 &&
-        static_cast<ValKind>(kindEnc) != ValKind::kRef && v.isNumeric()) {
-      v = coerceInline(v, static_cast<ValKind>(kindEnc), builtins_,
-                            line);
+    if (local.isNumeric() && v.isNumeric()) {
+      v = coerceInline(v, local.kind, builtins_, line);
     }
-    slots[static_cast<std::size_t>(slot)] = v;
+    local = v;
   };
-  // Re-point the dispatch locals at the quickened copy after a rewrite.
-  const auto switchTo = [&](Instr* mut) {
-    if (mut != codeBase) {
-      const std::size_t myPc = static_cast<std::size_t>(ip - codeBase);
-      codeBase = mut;
-      codeEnd = mut + chunk.code.size();
-      ip = mut + myPc;
-    }
+  const auto incDec = [&](std::int32_t op, const Value& old, int line)
+                          JEPO_LAMBDA_INLINE -> Value {
+    const Value r =
+        binary(static_cast<jlang::BinOp>(op), old, Value::ofInt(1), line);
+    return coerceInline(r, old.kind, builtins_, line);
   };
-  // Shared bodies of the resolved call ops, also entered from their
-  // load-load fused prefixes. Each replaces the argument span on the
-  // caller stack with the call result.
-  const auto callSelfResolved = [&](std::int32_t ordinal, std::int32_t argc,
-                                    std::int32_t prependThis)
-                                    JEPO_LAMBDA_INLINE {
-    ensureClassInitById(cls.classId);
+  // Resolved program-class call: the arguments are a span on this frame's
+  // stack (rooted under frame.top), replaced by the result.
+  const auto call = [&](const CompiledClass& target, const Chunk& callee,
+                        Value self, std::int32_t argc) {
     charge(energy::Op::kCall);
-    const Chunk& target = *methodChunks_[static_cast<std::size_t>(cls.classId)]
-                                        [static_cast<std::size_t>(ordinal)];
-    Value result;
-    if (prependThis != 0) {
-      if (!inlineRecvCall(target, slots[0], sp - argc,
-                          static_cast<std::size_t>(argc), &result)) {
-        result = invokeRecvSpan(cls, target, slots[0], sp - argc,
+    const Value result = invoke(target, callee, self, sp - argc,
                                 static_cast<std::size_t>(argc));
-      }
-    } else if (!inlineSpanCall(target, sp - argc,
-                               static_cast<std::size_t>(argc), &result)) {
-      result = invokeSpan(cls, target, sp - argc,
-                          static_cast<std::size_t>(argc));
-    }
     sp -= argc;
     *sp++ = result;
   };
-  const auto callVirtualCached = [&](std::int32_t nameIdx, std::int32_t argc,
-                                     std::int32_t cacheSlot, int line)
-                                     JEPO_LAMBDA_INLINE {
-    const Value receiver = sp[-(argc + 1)];
-    if (receiver.isNull()) {
-      throwJava("NullPointerException", "call '" + name(nameIdx) +
-                                            "' on null at line " +
-                                            std::to_string(line));
-    }
-    // Fast path: a program-class object dispatches through the monomorphic
-    // cache. BuiltinLibrary::instanceCall is a no-op for such receivers
-    // (it charges nothing and always declines), so skipping the probe is
-    // observationally identical to the seed.
-    if (receiver.isRef()) {
-      HeapObject& obj = heap_.get(receiver.asRef());
-      if (obj.kind == ObjKind::kObject && obj.layout != nullptr &&
-          obj.layout->classId >= 0) {
-        CallCacheEntry& cc = callCaches_[static_cast<std::size_t>(cacheSlot)];
-        if (cc.classId != obj.layout->classId) {
-          const std::int32_t id = obj.layout->classId;
-          const jlang::ResolvedClass& rc =
-              resolution_->classes[static_cast<std::size_t>(id)];
-          const jlang::ResolvedMethod* rm = rc.findMethod(name(nameIdx));
-          const int ordinal = rm != nullptr ? rc.methodOrdinal(rm->decl) : -1;
-          const Chunk* target =
-              ordinal >= 0 ? methodChunks_[static_cast<std::size_t>(id)]
-                                          [static_cast<std::size_t>(ordinal)]
-                           : nullptr;
-          if (target == nullptr) {
-            throw VmError("unknown method " + obj.className + "." +
-                          name(nameIdx));
-          }
-          cc = {id, classById_[static_cast<std::size_t>(id)], target};
-        }
-        // receiver + args are contiguous on the caller stack — exactly
-        // the callee's parameter span. No arg vector, no insert.
-        charge(energy::Op::kCall);
-        Value result;
-        if (!inlineSpanCall(*cc.chunk, sp - argc - 1,
-                            static_cast<std::size_t>(argc) + 1, &result)) {
-          result = invokeSpan(*cc.cls, *cc.chunk, sp - argc - 1,
-                              static_cast<std::size_t>(argc) + 1);
-        }
-        sp -= argc + 1;
-        *sp++ = result;
-        return;
-      }
-    }
-    // Slow path: builtin receivers (strings, wrappers, exceptions,
-    // StringBuilder) — the seed's dynamic dispatch, verbatim.
-    std::vector<Value> args = popArgs(argc);
-    (void)pop();  // the receiver, already captured above
-    Value result;
-    if (builtins_.instanceCall(receiver, name(nameIdx), args, &result)) {
-      *sp++ = result;
-      return;
-    }
-    const HeapObject& obj = heap_.get(receiver.asRef());
-    JEPO_REQUIRE(obj.kind == ObjKind::kObject, "method call on non-object");
-    const CompiledClass* targetCls = program_->findClass(obj.className);
-    if (targetCls == nullptr) {
-      throw VmError("method call on unknown class " + obj.className);
-    }
-    const auto it = targetCls->methods.find(name(nameIdx));
-    if (it == targetCls->methods.end()) {
-      throw VmError("unknown method " + obj.className + "." + name(nameIdx));
-    }
-    args.insert(args.begin(), receiver);
-    charge(energy::Op::kCall);
-    *sp++ = invoke(*targetCls, it->second, std::move(args));
-  };
 
-  // Hoisted per-dispatch state. setMaxSteps/setHeapLimit are configuration
-  // calls made before execution, never from inside a run, so both are
-  // loop-invariant; keeping them in locals lets the compiler hold them in
-  // registers across the opaque charge()/helper calls in the handlers.
-  // When the collector is unarmed (the limit-0 seed behaviour) no
-  // collection can ever happen, so recording frame.top for the root scan
-  // is dead work and the whole safepoint reduces to one predictable test.
+  // Step accounting (code.hpp): every step point that takes steps checks
+  // the limit and polls the cancel token — the tree's step() — so an abort
+  // lands between the same two charges as on the tree. Step points taking
+  // no steps cost one test.
   const std::uint64_t maxStepsHoisted = maxStepsEff_;
+  const CancelToken* const cancelTok = cancel_;
   const bool gcArmed = gc_.limit() != 0;
-  const CancelToken* const cancelHoisted = cancel_;
 
-// Per-dispatch prologue: record the operand-stack height for the GC root
-// scan (this is the engine's only safepoint — no builtin, operator helper
-// or allocation path can ever collect), account the fused run length, and
-// enforce the step limit plus cooperative cancellation. Every fused
-// superinstruction backedge (kCountedAccumLoop dispatches through VM_TOP
-// per iteration) re-runs this prologue, so cancellation is never starved
-// by the fast path; with no token installed the poll is one test of a
-// register-held null pointer.
-#define VM_TOP()                                                     \
-  do {                                                               \
-    if (ip >= codeEnd) return Value::null();                         \
-    steps_ += ip->n;                                                 \
-    if (steps_ > maxStepsHoisted) throwStepLimit();                  \
-    if (cancelHoisted != nullptr && cancelHoisted->cancelled()) {    \
-      throwCancelled();                                              \
-    }                                                                \
-    if (gcArmed) {                                                   \
-      frame.top = static_cast<std::size_t>(sp - stackBase);          \
-      gc_.safepoint();                                               \
-    }                                                                \
+#define VM_STEPS(count)                                               \
+  do {                                                                \
+    const std::uint32_t vmSteps = (count);                            \
+    if (vmSteps != 0) {                                               \
+      steps_ += vmSteps;                                              \
+      if (steps_ > maxStepsHoisted) throwStepLimit();                 \
+      if (cancelTok != nullptr && cancelTok->cancelled()) {           \
+        throwCancelled();                                             \
+      }                                                               \
+    }                                                                 \
+  } while (0)
+
+// Per-dispatch prologue: the instruction's entry steps, then the GC
+// safepoint with the operand-stack height recorded for the root scan — the
+// engine's only safepoint, so no builtin, operator helper or allocation
+// path can ever collect.
+#define VM_TOP()                                                      \
+  do {                                                                \
+    VM_STEPS(ip->n);                                                  \
+    if (gcArmed) {                                                    \
+      frame.top = static_cast<std::size_t>(sp - stackBase);           \
+      gc_.safepoint();                                                \
+    }                                                                 \
   } while (0)
 
 #ifdef JEPO_COMPUTED_GOTO
@@ -895,33 +626,33 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
 #ifdef JEPO_COMPUTED_GOTO
   // Must list every Op in exact enum order (dispatch indexes by opcode).
   static const void* const kLabels[] = {
+      &&L_kStep, &&L_kCharge,
       &&L_kConstInt, &&L_kConstLong, &&L_kConstFloat, &&L_kConstDouble,
       &&L_kConstStr, &&L_kConstChar, &&L_kConstBool, &&L_kConstNull,
-      &&L_kLoad, &&L_kStore, &&L_kLoadThis,
-      &&L_kGetField, &&L_kPutField, &&L_kGetThisField, &&L_kPutThisField,
-      &&L_kGetStatic, &&L_kPutStatic,
-      &&L_kArrayGet, &&L_kArraySet, &&L_kNewArray,
-      &&L_kNewObject,
-      &&L_kBinary, &&L_kNeg, &&L_kNot, &&L_kBitNot, &&L_kCast, &&L_kBox,
-      &&L_kJump, &&L_kJumpIfFalse, &&L_kJumpIfTrue, &&L_kLoopTick,
-      &&L_kTryTick,
-      &&L_kCallStatic, &&L_kCallVirtual, &&L_kCallUnqualified, &&L_kPrint,
-      &&L_kReturnValue, &&L_kReturnVoid, &&L_kPop, &&L_kDup, &&L_kThrow,
-      &&L_kGetStaticSlot, &&L_kPutStaticSlot, &&L_kGetThisFieldSlot,
-      &&L_kPutThisFieldSlot, &&L_kGetFieldCached, &&L_kPutFieldCached,
-      &&L_kCallStaticResolved, &&L_kCallSelfResolved, &&L_kCallVirtualCached,
-      &&L_kLoadLoad, &&L_kLoadReturn, &&L_kThisFieldReturn, &&L_kStorePop,
-      &&L_kPutThisFieldSlotPop, &&L_kConstBinary, &&L_kLoadConstBinary,
-      &&L_kLoadLoadBinary, &&L_kThisFieldConstBinary, &&L_kThisFieldBinary,
-      &&L_kBinaryCast, &&L_kBinCastStorePop, &&L_kLoadLoadBinaryReturn,
-      &&L_kLoadConstCmpJump, &&L_kLoadLoadCmpJump, &&L_kLoadConstBinStore,
-      &&L_kIncDecLocalStmt, &&L_kLoadLoadConstBinary, &&L_kIncDecJump,
-      &&L_kAccumConstStmt, &&L_kThisFieldAccumReturn, &&L_kLoadLoadCallSelf,
-      &&L_kLoadLoadCallVirt, &&L_kAccumConstJump, &&L_kStorePopIncDecJump,
-      &&L_kBinCastStoreIncDecJump, &&L_kCountedAccumLoop,
+      &&L_kPushDefault, &&L_kPushBool,
+      &&L_kLoad, &&L_kLoadThis, &&L_kStoreLocal, &&L_kDeclLocal,
+      &&L_kGetThisField, &&L_kPutThisField,
+      &&L_kGetStatic, &&L_kPutStatic, &&L_kGetStaticSite, &&L_kPutStaticSite,
+      &&L_kInitStatic, &&L_kInitField,
+      &&L_kGetField, &&L_kPutField, &&L_kNullCheck,
+      &&L_kArrayGet, &&L_kArraySet, &&L_kCheckDim, &&L_kNewArray,
+      &&L_kNew, &&L_kNewDyn,
+      &&L_kBinary, &&L_kIncDec, &&L_kNeg, &&L_kNot, &&L_kBitNot, &&L_kCast,
+      &&L_kToBool,
+      &&L_kJump, &&L_kJumpIfFalse, &&L_kShortCircuit, &&L_kSwitchSel,
+      &&L_kCaseEq, &&L_kPopJump,
+      &&L_kClassInit, &&L_kPrint, &&L_kCallBuiltin, &&L_kInvokeStatic,
+      &&L_kInvokeSelf, &&L_kInvokeVirtual,
+      &&L_kReturnValue, &&L_kReturnVoid, &&L_kSetRet, &&L_kRet, &&L_kEscape,
+      &&L_kPop, &&L_kDup, &&L_kThrow, &&L_kRethrow, &&L_kThrowVm,
+      &&L_kLoadLoad, &&L_kLoadBinary, &&L_kConstBinary, &&L_kLoadLoadBinary,
+      &&L_kLoadConstBinary, &&L_kStoreLocalPop, &&L_kIncLocal,
+      &&L_kBinaryJumpIfFalse, &&L_kLoadBinaryStore, &&L_kBinaryStore,
+      &&L_kLoadLoadBinaryStore, &&L_kLoadConstBinaryStore,
+      &&L_kIncLocalJump, &&L_kStoreLocalPopJump, &&L_kCmpLoopHead,
   };
   static_assert(sizeof(kLabels) / sizeof(kLabels[0]) ==
-                    static_cast<std::size_t>(Op::kCountedAccumLoop) + 1,
+                    static_cast<std::size_t>(Op::kCmpLoopHead) + 1,
                 "label table must cover every opcode");
 #endif
 
@@ -934,6 +665,12 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
       VM_TOP();
       switch (ip->op) {
 #endif
+
+      VM_CASE(kStep) { VM_NEXT(); }
+      VM_CASE(kCharge) {
+        charge(static_cast<energy::Op>(ip->a));
+        VM_NEXT();
+      }
 
       VM_CASE(kConstInt) {
         charge(energy::Op::kConstLoad);
@@ -963,12 +700,14 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
       }
       VM_CASE(kConstStr) {
         charge(energy::Op::kConstLoad);
-        // The names pool is content-deduped at compile time, so a flat
-        // vector indexed by name id replaces the seed's hash lookup.
-        // Lazy allocation preserves the seed's heap-allocation order.
-        Ref& interned = literalByName_[static_cast<std::size_t>(ip->a)];
-        if (interned == kNullRef) interned = heap_.allocString(name(ip->a));
-        *sp++ = Value::ofRef(interned);
+        // Content-deduplicated by the resolver and allocated lazily, so
+        // the first-evaluation heap order matches the tree's.
+        Ref& pooled = literalPool_[static_cast<std::size_t>(ip->a)];
+        if (pooled == kNullRef) {
+          pooled = heap_.allocString(
+              resolution_->stringLiterals[static_cast<std::size_t>(ip->a)]);
+        }
+        *sp++ = Value::ofRef(pooled);
         VM_NEXT();
       }
       VM_CASE(kConstChar) {
@@ -986,162 +725,243 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
         *sp++ = Value::null();
         VM_NEXT();
       }
+      VM_CASE(kPushDefault) {
+        *sp++ = jvm::Heap::defaultValue(static_cast<ValKind>(ip->a));
+        VM_NEXT();
+      }
+      VM_CASE(kPushBool) {
+        *sp++ = Value::ofBool(ip->a != 0);
+        VM_NEXT();
+      }
 
       VM_CASE(kLoad) {
         charge(energy::Op::kLocalAccess);
         *sp++ = slots[static_cast<std::size_t>(ip->a)];
         VM_NEXT();
       }
-      VM_CASE(kStore) {
-        storeToSlot(ip->a, ip->b, pop(), ip->line);
-        VM_NEXT();
-      }
       VM_CASE(kLoadThis) {
         charge(energy::Op::kLocalAccess);
-        *sp++ = slots[0];
+        *sp++ = frame.thisV;
+        VM_NEXT();
+      }
+      VM_CASE(kStoreLocal) {
+        storeLocal(ip->a, pop(), ip->line);
+        VM_NEXT();
+      }
+      VM_CASE(kDeclLocal) {
+        Value v = jvm::coerceToKind(pop(), static_cast<ValKind>(ip->b),
+                                    builtins_, ip->line);
+        // Declaring a wrapper-class variable with a primitive initializer
+        // is autoboxing.
+        if (ip->c >= 0 && v.isNumeric()) v = builtins_.box(name(ip->c), v);
+        charge(energy::Op::kLocalAccess);
+        slots[static_cast<std::size_t>(ip->a)] = v;
         VM_NEXT();
       }
 
-      VM_CASE(kGetField) {
-        const Instr in = *ip;
-        // Quicken: rewrite this site (in the VM-private copy) into the
-        // cached form with a fresh cache slot, then run the dynamic
-        // semantics one last time — observationally identical.
-        if (Instr* mut = quickenableCode(chunk)) {
-          Instr& site = mut[ip - codeBase];
-          if (site.op == Op::kGetField) {
-            fieldCaches_.push_back(FieldCacheEntry{});
-            site.b = static_cast<std::int32_t>(fieldCaches_.size() - 1);
-            site.op = Op::kGetFieldCached;
-          }
-          switchTo(mut);
-        }
-        const Value obj = pop();
-        if (obj.isNull()) {
-          throwJava("NullPointerException",
-                    "field '" + name(in.a) + "' on null at line " +
-                        std::to_string(in.line));
-        }
-        HeapObject& ho = heap_.get(obj.asRef());
-        charge(energy::Op::kFieldAccess);
-        if (ho.kind == ObjKind::kArray && name(in.a) == "length") {
-          *sp++ = Value::ofInt(static_cast<std::int64_t>(ho.elems.size()));
+      VM_CASE(kGetThisField) {
+        if (frame.thisV.isRef()) {
+          charge(energy::Op::kFieldAccess);
+          *sp++ = heap_.get(frame.thisV.asRef())
+                      .fields[static_cast<std::size_t>(ip->a)];
           VM_NEXT();
         }
-        const Value* field = ho.kind == ObjKind::kObject
-                                 ? fieldByName(ho, name(in.a))
-                                 : nullptr;
-        if (field == nullptr) {
-          throw VmError("unknown field '" + name(in.a) + "' at line " +
-                        std::to_string(in.line));
+        // Null `this` (an instance method invoked through the static call
+        // shape): the tree falls back to a same-named static, then fails.
+        if (Value* st = findStaticByName(cls.name, name(ip->c))) {
+          charge(energy::Op::kStaticAccess);
+          *sp++ = *st;
+          VM_NEXT();
         }
-        *sp++ = *field;
-        VM_NEXT();
-      }
-      VM_CASE(kPutField) {
-        const Instr in = *ip;
-        if (Instr* mut = quickenableCode(chunk)) {
-          Instr& site = mut[ip - codeBase];
-          if (site.op == Op::kPutField) {
-            fieldCaches_.push_back(FieldCacheEntry{});
-            site.b = static_cast<std::int32_t>(fieldCaches_.size() - 1);
-            site.op = Op::kPutFieldCached;
-          }
-          switchTo(mut);
-        }
-        Value v = pop();
-        const Value obj = pop();
-        if (obj.isNull()) {
-          throwJava("NullPointerException", "store to field of null");
-        }
-        HeapObject& ho = heap_.get(obj.asRef());
-        Value* field = ho.kind == ObjKind::kObject
-                           ? fieldByName(ho, name(in.a))
-                           : nullptr;
-        JEPO_REQUIRE(field != nullptr, "unknown field '" + name(in.a) + "'");
-        charge(energy::Op::kFieldAccess);
-        if (field->isNumeric() && v.isNumeric()) {
-          v = coerceInline(v, field->kind, builtins_, in.line);
-        }
-        *field = v;
-        VM_NEXT();
-      }
-      VM_CASE(kGetThisField) {
-        charge(energy::Op::kFieldAccess);
-        HeapObject& self = heap_.get(slots[0].asRef());
-        const Value* field = fieldByName(self, name(ip->a));
-        JEPO_REQUIRE(field != nullptr,
-                     "unknown this-field '" + name(ip->a) + "'");
-        *sp++ = *field;
-        VM_NEXT();
+        raiseVmError("undefined name '", name(ip->c), "' at line ", ip->line);
       }
       VM_CASE(kPutThisField) {
-        charge(energy::Op::kFieldAccess);
-        Value v = pop();
-        HeapObject& self = heap_.get(slots[0].asRef());
-        Value* field = fieldByName(self, name(ip->a));
-        JEPO_REQUIRE(field != nullptr,
-                     "unknown this-field '" + name(ip->a) + "'");
-        if (field->isNumeric() && v.isNumeric()) {
-          v = coerceInline(v, field->kind, builtins_, ip->line);
+        if (frame.thisV.isRef()) {
+          Value v = pop();
+          Value& field = heap_.get(frame.thisV.asRef())
+                             .fields[static_cast<std::size_t>(ip->a)];
+          charge(energy::Op::kFieldAccess);
+          if (field.isNumeric() && v.isNumeric()) {
+            v = coerceInline(v, field.kind, builtins_, ip->line);
+          }
+          field = v;
+          VM_NEXT();
         }
-        *field = v;
+        if (Value* st = findStaticByName(cls.name, name(ip->c))) {
+          Value v = pop();  // read after <clinit>: compaction remaps it
+          charge(energy::Op::kStaticAccess);
+          if (st->isNumeric() && v.isNumeric()) {
+            v = coerceInline(v, st->kind, builtins_, ip->line);
+          }
+          *st = v;
+          VM_NEXT();
+        }
+        raiseVmError("assignment to undefined name '", name(ip->c),
+                     "' at line ", ip->line);
+      }
+
+      VM_CASE(kGetStatic) {
+        ensureClassInitById(ip->b);
+        charge(energy::Op::kStaticAccess);
+        *sp++ = statics_[static_cast<std::size_t>(ip->a)];
         VM_NEXT();
       }
-      VM_CASE(kGetStatic) {
-        const std::string& key = name(ip->a);
-        const auto dot = key.find('.');
-        const std::string className = key.substr(0, dot);
-        const std::string fieldName = key.substr(dot + 1);
-        if (BuiltinLibrary::isBuiltinClassName(className)) {
+      VM_CASE(kPutStatic) {
+        ensureClassInitById(ip->b);
+        Value v = pop();  // read after <clinit>: compaction remaps it
+        Value& st = statics_[static_cast<std::size_t>(ip->a)];
+        charge(energy::Op::kStaticAccess);
+        if (st.isNumeric() && v.isNumeric()) {
+          v = coerceInline(v, st.kind, builtins_, ip->line);
+        }
+        st = v;
+        VM_NEXT();
+      }
+      VM_CASE(kGetStaticSite) {
+        const StaticSite& site =
+            program_->staticSites[static_cast<std::size_t>(ip->a)];
+        if (site.builtin) {
           Value v;
-          if (builtins_.staticField(className, fieldName, &v)) {
+          if (builtins_.staticField(site.className, site.fieldName, &v)) {
             *sp++ = v;
             VM_NEXT();
           }
         }
-        ensureClassInit(className);
-        const Value* slot = findStaticByName(className, fieldName);
-        if (slot == nullptr) {
-          throw VmError("unknown static field " + key + " at line " +
-                        std::to_string(ip->line));
+        // Initialization-before-failure: a missing field on a known class
+        // still runs the class's static initializers (and their charges).
+        ensureClassInitById(site.classId);
+        if (site.slot < 0) {
+          raiseVmError("unknown static field ", site.className, ".",
+                       site.fieldName, " at line ", ip->line);
         }
         charge(energy::Op::kStaticAccess);
-        *sp++ = *slot;
+        *sp++ = statics_[static_cast<std::size_t>(site.slot)];
         VM_NEXT();
       }
-      VM_CASE(kPutStatic) {
-        const std::string& key = name(ip->a);
-        const auto dot = key.find('.');
-        ensureClassInit(key.substr(0, dot));
-        Value* slot =
-            findStaticByName(key.substr(0, dot), key.substr(dot + 1));
-        if (slot == nullptr) {
-          throw VmError("unknown static field " + key);
+      VM_CASE(kPutStaticSite) {
+        const StaticSite& site =
+            program_->staticSites[static_cast<std::size_t>(ip->a)];
+        ensureClassInitById(site.classId);
+        if (site.slot < 0) {
+          raiseVmError("unknown static field ", site.className, ".",
+                       site.fieldName);
         }
-        charge(energy::Op::kStaticAccess);
         Value v = pop();
-        if (slot->isNumeric() && v.isNumeric()) {
-          v = coerceInline(v, slot->kind, builtins_, ip->line);
+        Value& st = statics_[static_cast<std::size_t>(site.slot)];
+        charge(energy::Op::kStaticAccess);
+        if (st.isNumeric() && v.isNumeric()) {
+          v = coerceInline(v, st.kind, builtins_, ip->line);
         }
-        *slot = v;
+        st = v;
+        VM_NEXT();
+      }
+      VM_CASE(kInitStatic) {
+        Value v = jvm::coerceToKind(pop(), static_cast<ValKind>(ip->b),
+                                    builtins_, ip->line);
+        if (ip->c >= 0 && v.isNumeric()) v = builtins_.box(name(ip->c), v);
+        charge(energy::Op::kStaticAccess);
+        statics_[static_cast<std::size_t>(ip->a)] = v;
+        VM_NEXT();
+      }
+      VM_CASE(kInitField) {
+        const Value v = jvm::coerceToKind(pop(), static_cast<ValKind>(ip->b),
+                                          builtins_, ip->line);
+        charge(energy::Op::kFieldAccess);
+        heap_.get(frame.thisV.asRef())
+            .fields[static_cast<std::size_t>(ip->a)] = v;
+        VM_NEXT();
+      }
+
+      VM_CASE(kGetField) {
+        const Value obj = pop();
+        if (obj.isNull()) {
+          raiseJava(builtins_, "NullPointerException", "field '",
+                    name(ip->a), "' on null at line ", ip->line);
+        }
+        HeapObject& ho = heap_.get(obj.asRef());
+        if (ip->a == lengthName_) {
+          if (ho.kind == ObjKind::kArray) {
+            charge(energy::Op::kFieldAccess);
+            *sp++ = Value::ofInt(static_cast<std::int64_t>(ho.elems.size()));
+            VM_NEXT();
+          }
+          if (ho.kind == ObjKind::kString || ho.kind == ObjKind::kBuilder) {
+            raiseVmError("use length() on strings, at line ", ip->line);
+          }
+        }
+        if (ho.kind == ObjKind::kObject && ho.layout != nullptr &&
+            ip->b >= 0) {
+          FieldCacheEntry& fc = fieldCaches_[static_cast<std::size_t>(ip->b)];
+          std::int32_t offset;
+          if (fc.layout == ho.layout) {
+            offset = fc.offset;
+          } else {
+            offset = ho.layout->indexOfName(name(ip->a));
+            if (offset >= 0) fc = {ho.layout, offset};
+          }
+          if (offset >= 0) {
+            charge(energy::Op::kFieldAccess);
+            *sp++ = ho.fields[static_cast<std::size_t>(offset)];
+            VM_NEXT();
+          }
+        }
+        raiseVmError("unknown field '", name(ip->a), "' at line ", ip->line);
+      }
+      VM_CASE(kPutField) {
+        const Value obj = pop();
+        Value v = pop();
+        if (obj.isNull()) {
+          raiseJava(builtins_, "NullPointerException",
+                    "store to field of null");
+        }
+        HeapObject& ho = heap_.get(obj.asRef());
+        if (ho.kind != ObjKind::kObject) {
+          raiseVmError("field store on non-object");
+        }
+        std::int32_t offset = -1;
+        if (ho.layout != nullptr && ip->b >= 0) {
+          FieldCacheEntry& fc = fieldCaches_[static_cast<std::size_t>(ip->b)];
+          if (fc.layout == ho.layout) {
+            offset = fc.offset;
+          } else {
+            offset = ho.layout->indexOfName(name(ip->a));
+            if (offset >= 0) fc = {ho.layout, offset};
+          }
+        }
+        if (offset < 0) raiseVmError("unknown field '", name(ip->a), "'");
+        Value& field = ho.fields[static_cast<std::size_t>(offset)];
+        charge(energy::Op::kFieldAccess);
+        if (field.isNumeric() && v.isNumeric()) {
+          v = coerceInline(v, field.kind, builtins_, ip->line);
+        }
+        field = v;
+        VM_NEXT();
+      }
+      VM_CASE(kNullCheck) {
+        if (sp[-1].isNull()) {
+          switch (static_cast<NullCheck>(ip->a)) {
+            case NullCheck::kArrayLoad:
+              raiseJava(builtins_, "NullPointerException",
+                        "array access on null at line ", ip->line);
+            case NullCheck::kArrayStore:
+              raiseJava(builtins_, "NullPointerException",
+                        "store to null array");
+            case NullCheck::kCall:
+              raiseJava(builtins_, "NullPointerException", "call '",
+                        name(ip->b), "' on null at line ", ip->line);
+          }
+        }
         VM_NEXT();
       }
 
       VM_CASE(kArrayGet) {
         const std::int64_t idx = pop().asInt();
         const Value arr = pop();
-        if (arr.isNull()) {
-          throwJava("NullPointerException", "array access on null at line " +
-                                                std::to_string(ip->line));
-        }
         HeapObject& ho = heap_.get(arr.asRef());
-        JEPO_REQUIRE(ho.kind == ObjKind::kArray, "indexing a non-array");
+        if (ho.kind != ObjKind::kArray) raiseVmError("indexing a non-array");
         if (idx < 0 || static_cast<std::size_t>(idx) >= ho.elems.size()) {
-          throwJava("ArrayIndexOutOfBoundsException",
-                    "index " + std::to_string(idx) + " length " +
-                        std::to_string(ho.elems.size()) + " at line " +
-                        std::to_string(ip->line));
+          raiseJava(builtins_, "ArrayIndexOutOfBoundsException", "index ",
+                    idx, " length ", ho.elems.size(), " at line ", ip->line);
         }
         const Value v = ho.elems[static_cast<std::size_t>(idx)];
         const bool rowIsArray =
@@ -1151,18 +971,14 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
         VM_NEXT();
       }
       VM_CASE(kArraySet) {
-        Value v = pop();
         const std::int64_t idx = pop().asInt();
         const Value arr = pop();
-        if (arr.isNull()) {
-          throwJava("NullPointerException", "store to null array");
-        }
+        Value v = pop();
         HeapObject& ho = heap_.get(arr.asRef());
-        JEPO_REQUIRE(ho.kind == ObjKind::kArray, "indexing a non-array");
+        if (ho.kind != ObjKind::kArray) raiseVmError("indexing a non-array");
         if (idx < 0 || static_cast<std::size_t>(idx) >= ho.elems.size()) {
-          throwJava("ArrayIndexOutOfBoundsException",
-                    "store index " + std::to_string(idx) + " length " +
-                        std::to_string(ho.elems.size()));
+          raiseJava(builtins_, "ArrayIndexOutOfBoundsException",
+                    "store index ", idx, " length ", ho.elems.size());
         }
         charge(energy::Op::kArrayAccess);
         if (v.isNumeric() && ho.elemKind != ValKind::kRef &&
@@ -1172,55 +988,47 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
         ho.elems[static_cast<std::size_t>(idx)] = v;
         VM_NEXT();
       }
+      VM_CASE(kCheckDim) {
+        const std::int64_t d = sp[-1].asInt();
+        if (d < 0) raiseJava(builtins_, "NegativeArraySizeException", d);
+        VM_NEXT();
+      }
       VM_CASE(kNewArray) {
-        if (ip->a == 1) {
-          // Single-dimension fast path: no dims vector. Same charge order
-          // as allocArray on a one-level dims list.
-          const std::int64_t d = pop().asInt();
-          if (d < 0) {
-            throwJava("NegativeArraySizeException", std::to_string(d));
-          }
-          charge(energy::Op::kAllocObject);
-          charge(energy::Op::kAllocArrayPerElem,
-                 static_cast<std::uint64_t>(d));
-          *sp++ = Value::ofRef(heap_.allocArray(
-              static_cast<std::size_t>(d), static_cast<ValKind>(ip->b)));
-          VM_NEXT();
-        }
-        std::vector<std::int64_t> dims(static_cast<std::size_t>(ip->a));
-        for (int i = ip->a - 1; i >= 0; --i) {
-          dims[static_cast<std::size_t>(i)] = pop().asInt();
-        }
-        for (std::int64_t d : dims) {
-          if (d < 0) {
-            throwJava("NegativeArraySizeException", std::to_string(d));
-          }
-        }
-        *sp++ = allocArray(dims, 0, static_cast<ValKind>(ip->b));
+        sp -= ip->a;
+        const Value arr = newArray(*ip, sp);
+        *sp++ = arr;
         VM_NEXT();
       }
 
-      VM_CASE(kNewObject) {
+      VM_CASE(kNew) {
         const std::int32_t argc = ip->b;
-        // c > 0: the resolver bound the class and ruled out the builtin
-        // constructor probe (builtin names always take the dynamic path).
-        if (ip->c > 0) {
-          const Value result =
-              constructByIdSpan(ip->c - 1, sp - argc,
-                                static_cast<std::size_t>(argc));
-          sp -= argc;
-          *sp++ = result;
-          VM_NEXT();
-        }
-        std::vector<Value> args = popArgs(argc);
-        *sp++ = construct(name(ip->a), std::move(args), ip->line);
+        const Value result = constructById(ip->a, sp - argc,
+                                           static_cast<std::size_t>(argc));
+        sp -= argc;
+        *sp++ = result;
+        VM_NEXT();
+      }
+      VM_CASE(kNewDyn) {
+        // The arguments stay on this frame's stack, rooted under frame.top,
+        // while the constructor runs.
+        const Value obj = newDynamic(*ip, sp - ip->b);
+        sp -= ip->b;
+        *sp++ = obj;
         VM_NEXT();
       }
 
       VM_CASE(kBinary) {
         const Value b = pop();
         const Value a = sp[-1];
-        sp[-1] = binary(static_cast<jlang::BinOp>(ip->a), a, b, ip->line);
+        Value r = binary(static_cast<jlang::BinOp>(ip->a), a, b, ip->line);
+        if (ip->b != 0 && r.isNumeric() && a.isNumeric()) {
+          r = coerceInline(r, a.kind, builtins_, ip->line);  // compound
+        }
+        sp[-1] = r;
+        VM_NEXT();
+      }
+      VM_CASE(kIncDec) {
+        sp[-1] = incDec(ip->a, sp[-1], ip->line);
         VM_NEXT();
       }
       VM_CASE(kNeg) {
@@ -1237,216 +1045,58 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
       }
       VM_CASE(kCast) {
         const auto k = static_cast<ValKind>(ip->a);
-        if (ip->b == 0) {
-          // Explicit source-level cast: charge like the tree engine.
-          switch (k) {
-            case ValKind::kLong: charge(energy::Op::kLongAlu); break;
-            case ValKind::kFloat: charge(energy::Op::kFloatAlu); break;
-            case ValKind::kDouble: charge(energy::Op::kDoubleAlu); break;
-            case ValKind::kByte:
-            case ValKind::kShort:
-              charge(energy::Op::kByteShortAlu);
-              break;
-            default: charge(energy::Op::kIntAlu); break;
-          }
+        switch (k) {
+          case ValKind::kLong: charge(energy::Op::kLongAlu); break;
+          case ValKind::kFloat: charge(energy::Op::kFloatAlu); break;
+          case ValKind::kDouble: charge(energy::Op::kDoubleAlu); break;
+          case ValKind::kByte:
+          case ValKind::kShort:
+            charge(energy::Op::kByteShortAlu);
+            break;
+          default: charge(energy::Op::kIntAlu); break;
         }
-        sp[-1] = coerceInline(sp[-1], k, builtins_, ip->line);
+        sp[-1] = jvm::coerceToKind(sp[-1], k, builtins_, ip->line);
         VM_NEXT();
       }
-      VM_CASE(kBox) {
-        const Value v = sp[-1];
-        sp[-1] = v.isNumeric() ? builtins_.box(name(ip->a), v) : v;
+      VM_CASE(kToBool) {
+        sp[-1] = Value::ofBool(sp[-1].asBool());
         VM_NEXT();
       }
 
-      VM_CASE(kJump) {
-        VM_JUMP(ip->a);
-      }
+      VM_CASE(kJump) { VM_JUMP(ip->a); }
       VM_CASE(kJumpIfFalse) {
-        charge(ip->b != 0 ? energy::Op::kTernary : energy::Op::kBranch);
         if (!pop().asBool()) VM_JUMP(ip->a);
         VM_NEXT();
       }
-      VM_CASE(kJumpIfTrue) {
-        charge(energy::Op::kBranch);
-        if (pop().asBool()) VM_JUMP(ip->a);
+      VM_CASE(kShortCircuit) {
+        const bool v = pop().asBool();
+        const bool isOr = ip->b != 0;
+        if (v == isOr) {
+          *sp++ = Value::ofBool(isOr);
+          VM_JUMP(ip->a);
+        }
         VM_NEXT();
       }
-      VM_CASE(kLoopTick) {
-        charge(energy::Op::kLoopIter);
+      VM_CASE(kSwitchSel) {
+        (void)sp[-1].asInt();  // the tree converts the selector up front
         VM_NEXT();
       }
-      VM_CASE(kTryTick) {
-        charge(energy::Op::kTryEnter);
+      VM_CASE(kCaseEq) {
+        charge(energy::Op::kIntAlu);
+        if (sp[-1].asInt() ==
+            program_->intPool[static_cast<std::size_t>(ip->b)]) {
+          --sp;
+          VM_JUMP(ip->a);
+        }
         VM_NEXT();
+      }
+      VM_CASE(kPopJump) {
+        --sp;
+        VM_JUMP(ip->a);
       }
 
-      VM_CASE(kCallStatic) {
-        const Instr in = *ip;
-        // Quicken when the callee is a resolvable program method; builtin
-        // classes and unresolvable names stay on the dynamic path forever.
-        if (!BuiltinLibrary::isBuiltinClassName(name(in.a))) {
-          const std::int32_t id = resolution_->classIdOf(name(in.a));
-          if (id >= 0 && classById_[static_cast<std::size_t>(id)] != nullptr) {
-            const jlang::ResolvedClass& rc =
-                resolution_->classes[static_cast<std::size_t>(id)];
-            const jlang::ResolvedMethod* rm = rc.findMethod(name(in.b));
-            const int ordinal = rm != nullptr ? rc.methodOrdinal(rm->decl)
-                                              : -1;
-            if (ordinal >= 0 &&
-                methodChunks_[static_cast<std::size_t>(id)]
-                             [static_cast<std::size_t>(ordinal)] != nullptr) {
-              if (Instr* mut = quickenableCode(chunk)) {
-                Instr& site = mut[ip - codeBase];
-                if (site.op == Op::kCallStatic) {
-                  site.a = id;
-                  site.b = ordinal;
-                  site.c = in.c;
-                  site.op = Op::kCallStaticResolved;
-                }
-                switchTo(mut);
-              }
-            }
-          }
-        }
-        // Dynamic semantics, run (at most) one last time — the seed body.
-        const std::string& className = name(in.a);
-        const std::string& methodName = name(in.b);
-        std::vector<Value> args = popArgs(in.c);
-        if (BuiltinLibrary::isBuiltinClassName(className)) {
-          Value result;
-          if (builtins_.staticCall(className, methodName, args, &result)) {
-            *sp++ = result;
-            VM_NEXT();
-          }
-          throw VmError("unknown method " + className + "." + methodName);
-        }
-        const CompiledClass* target = program_->findClass(className);
-        if (target == nullptr) {
-          throw VmError("unknown class " + className);
-        }
-        const auto it = target->methods.find(methodName);
-        if (it == target->methods.end()) {
-          throw VmError("unknown method " + className + "." + methodName);
-        }
-        // Popped args are off the rooted stack; <clinit> can collect.
-        jvm::Gc::ScopedVector rootArgs(gc_, args);
-        ensureClassInit(className);
-        charge(energy::Op::kCall);
-        *sp++ = invoke(*target, it->second, std::move(args));
-        VM_NEXT();
-      }
-      VM_CASE(kCallStaticResolved) {
-        const std::int32_t argc = ip->c;
-        // args stay on the caller stack, rooted under frame.top, across
-        // both the <clinit> safepoints and the callee's coercion copies.
+      VM_CASE(kClassInit) {
         ensureClassInitById(ip->a);
-        charge(energy::Op::kCall);
-        const auto classIdx = static_cast<std::size_t>(ip->a);
-        const Chunk& target =
-            *methodChunks_[classIdx][static_cast<std::size_t>(ip->b)];
-        Value result;
-        if (!inlineSpanCall(target, sp - argc, static_cast<std::size_t>(argc),
-                            &result)) {
-          result = invokeSpan(*classById_[classIdx], target, sp - argc,
-                              static_cast<std::size_t>(argc));
-        }
-        sp -= argc;
-        *sp++ = result;
-        VM_NEXT();
-      }
-      VM_CASE(kCallSelfResolved) {
-        callSelfResolved(ip->a, ip->b, ip->c);
-        VM_NEXT();
-      }
-      VM_CASE(kLoadLoadCallSelf) {
-        const std::int32_t bb = ip->b;
-        // Two loads with no possible throw between them: one merged charge.
-        charge(energy::Op::kLocalAccess, 2);
-        sp[0] = slots[static_cast<std::size_t>((bb >> 10) & 0x3FF)];
-        sp[1] = slots[static_cast<std::size_t>((bb >> 20) & 0x3FF)];
-        sp += 2;
-        // VM_TOP recorded frame.top before these pushes; re-record it so
-        // the argument span is rooted across the call's interior
-        // safepoints (<clinit>, inline-callee), as the unfused call's own
-        // dispatch would have.
-        if (gcArmed) frame.top = static_cast<std::size_t>(sp - stackBase);
-        callSelfResolved(ip->a, bb & 0x3FF, ip->c);
-        VM_NEXT();
-      }
-      VM_CASE(kCallUnqualified) {
-        std::vector<Value> args = popArgs(ip->b);
-        const auto it = cls.methods.find(name(ip->a));
-        if (it == cls.methods.end()) {
-          throw VmError("unknown method " + name(ip->a) + " at line " +
-                        std::to_string(ip->line));
-        }
-        if (!it->second.isStatic) {
-          JEPO_REQUIRE(!chunk.isStatic,
-                       "instance method called from static context");
-          args.insert(args.begin(), slots[0]);
-        }
-        jvm::Gc::ScopedVector rootArgs(gc_, args);
-        ensureClassInit(cls.name);
-        charge(energy::Op::kCall);
-        *sp++ = invoke(cls, it->second, std::move(args));
-        VM_NEXT();
-      }
-      VM_CASE(kCallVirtual) {
-        const Instr in = *ip;
-        if (Instr* mut = quickenableCode(chunk)) {
-          Instr& site = mut[ip - codeBase];
-          if (site.op == Op::kCallVirtual) {
-            callCaches_.push_back(CallCacheEntry{});
-            site.c = static_cast<std::int32_t>(callCaches_.size() - 1);
-            site.op = Op::kCallVirtualCached;
-          }
-          switchTo(mut);
-        }
-        std::vector<Value> args = popArgs(in.b);
-        const Value receiver = pop();
-        if (receiver.isNull()) {
-          throwJava("NullPointerException",
-                    "call '" + name(in.a) + "' on null at line " +
-                        std::to_string(in.line));
-        }
-        Value result;
-        if (builtins_.instanceCall(receiver, name(in.a), args, &result)) {
-          *sp++ = result;
-          VM_NEXT();
-        }
-        const HeapObject& obj = heap_.get(receiver.asRef());
-        JEPO_REQUIRE(obj.kind == ObjKind::kObject,
-                     "method call on non-object");
-        const CompiledClass* targetCls = program_->findClass(obj.className);
-        if (targetCls == nullptr) {
-          throw VmError("method call on unknown class " + obj.className);
-        }
-        const auto it = targetCls->methods.find(name(in.a));
-        if (it == targetCls->methods.end()) {
-          throw VmError("unknown method " + obj.className + "." +
-                        name(in.a));
-        }
-        args.insert(args.begin(), receiver);
-        charge(energy::Op::kCall);
-        *sp++ = invoke(*targetCls, it->second, std::move(args));
-        VM_NEXT();
-      }
-      VM_CASE(kCallVirtualCached) {
-        callVirtualCached(ip->a, ip->b, ip->c, ip->line);
-        VM_NEXT();
-      }
-      VM_CASE(kLoadLoadCallVirt) {
-        const std::int32_t bb = ip->b;
-        // Two loads with no possible throw between them: one merged charge.
-        charge(energy::Op::kLocalAccess, 2);
-        sp[0] = slots[static_cast<std::size_t>((bb >> 10) & 0x3FF)];
-        sp[1] = slots[static_cast<std::size_t>((bb >> 20) & 0x3FF)];
-        sp += 2;
-        // Root the pushed span before the call's interior safepoints; see
-        // kLoadLoadCallSelf.
-        if (gcArmed) frame.top = static_cast<std::size_t>(sp - stackBase);
-        callVirtualCached(ip->a, bb & 0x3FF, ip->c, ip->line);
         VM_NEXT();
       }
       VM_CASE(kPrint) {
@@ -1459,561 +1109,243 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
         *sp++ = Value::null();  // expression result, popped next
         VM_NEXT();
       }
+      VM_CASE(kCallBuiltin) {
+        const Value result = callBuiltin(*ip, sp - ip->c);
+        sp -= ip->c;
+        *sp++ = result;
+        VM_NEXT();
+      }
+      VM_CASE(kInvokeStatic) {
+        const auto classIdx = static_cast<std::size_t>(ip->a);
+        call(*classById_[classIdx],
+             *methodChunks_[classIdx][static_cast<std::size_t>(ip->b)],
+             Value::null(), ip->c);
+        VM_NEXT();
+      }
+      VM_CASE(kInvokeSelf) {
+        const Chunk& callee =
+            *methodChunks_[static_cast<std::size_t>(cls.classId)]
+                          [static_cast<std::size_t>(ip->a)];
+        call(cls, callee, callee.isStatic ? Value::null() : frame.thisV,
+             ip->b);
+        VM_NEXT();
+      }
+      VM_CASE(kInvokeVirtual) {
+        const std::int32_t argc = ip->b;
+        const Value receiver = sp[-(argc + 1)];  // null-checked already
+        // Fast path: a program-class object dispatches through the inline
+        // cache (the builtin probe declines such receivers, uncharged).
+        if (receiver.isRef()) {
+          const HeapObject& obj = heap_.get(receiver.asRef());
+          if (obj.kind == ObjKind::kObject && obj.layout != nullptr &&
+              obj.layout->classId >= 0) {
+            CallCacheEntry& cc =
+                callCaches_[static_cast<std::size_t>(ip->c)];
+            if (cc.classId != obj.layout->classId) {
+              const std::int32_t id = obj.layout->classId;
+              const jlang::ResolvedClass& rc =
+                  resolution_->classes[static_cast<std::size_t>(id)];
+              const jlang::ResolvedMethod* rm = rc.findMethod(name(ip->a));
+              if (rm == nullptr) {
+                raiseVmError("unknown method ", obj.className, ".",
+                             name(ip->a), " at line ", ip->line);
+              }
+              cc = {id, classById_[static_cast<std::size_t>(id)],
+                    methodChunks_[static_cast<std::size_t>(id)]
+                                 [static_cast<std::size_t>(
+                                     rc.methodOrdinal(rm->decl))]};
+            }
+            call(*cc.cls, *cc.chunk, receiver, argc);
+            sp[-2] = sp[-1];  // drop the receiver under the result
+            --sp;
+            VM_NEXT();
+          }
+        }
+        const Value result = invokeVirtualSlow(*ip, receiver, sp - argc);
+        sp -= argc + 1;
+        *sp++ = result;
+        VM_NEXT();
+      }
 
       VM_CASE(kReturnValue) {
-        return pop();
+        retVal_ = pop();
+        return;
       }
       VM_CASE(kReturnVoid) {
-        return Value::null();
+        retVal_ = Value::null();
+        return;
+      }
+      VM_CASE(kSetRet) {
+        retVal_ = ip->b != 0 ? Value::null() : pop();
+        VM_NEXT();
+      }
+      VM_CASE(kRet) { return; }
+      VM_CASE(kEscape) {
+        charge(energy::Op::kReturn);
+        raiseVmError(name(ip->a));
       }
       VM_CASE(kPop) {
-        (void)pop();
+        --sp;
         VM_NEXT();
       }
       VM_CASE(kDup) {
-        JEPO_ASSERT(sp > stackBase);
         sp[0] = sp[-1];
         ++sp;
         VM_NEXT();
       }
       VM_CASE(kThrow) {
         const Value v = pop();
-        if (v.isNull()) throwJava("NullPointerException", "throw null");
+        if (v.isNull()) {
+          raiseJava(builtins_, "NullPointerException", "throw null");
+        }
         charge(energy::Op::kThrow);
         throw Thrown{v};
       }
+      VM_CASE(kRethrow) {
+        throw Thrown{slots[static_cast<std::size_t>(ip->a)]};
+      }
+      VM_CASE(kThrowVm) { raiseVmError(name(ip->a)); }
 
-      VM_CASE(kGetStaticSlot) {
-        ensureClassInitById(ip->b);
-        if (ip->a < 0) {
-          throw VmError("unknown static field " + name(ip->c) + " at line " +
-                        std::to_string(ip->line));
-        }
-        charge(energy::Op::kStaticAccess);
-        *sp++ = statics_[static_cast<std::size_t>(ip->a)];
-        VM_NEXT();
-      }
-      VM_CASE(kPutStaticSlot) {
-        ensureClassInitById(ip->b);
-        if (ip->a < 0) {
-          throw VmError("unknown static field " + name(ip->c));
-        }
-        charge(energy::Op::kStaticAccess);
-        Value& slot = statics_[static_cast<std::size_t>(ip->a)];
-        Value v = pop();
-        if (slot.isNumeric() && v.isNumeric()) {
-          v = coerceInline(v, slot.kind, builtins_, ip->line);
-        }
-        slot = v;
-        VM_NEXT();
-      }
-      VM_CASE(kGetThisFieldSlot) {
-        charge(energy::Op::kFieldAccess);
-        HeapObject& self = heap_.get(slots[0].asRef());
-        *sp++ = self.fields[static_cast<std::size_t>(ip->a)];
-        VM_NEXT();
-      }
-      VM_CASE(kPutThisFieldSlot) {
-        charge(energy::Op::kFieldAccess);
-        Value v = pop();
-        HeapObject& self = heap_.get(slots[0].asRef());
-        Value& field = self.fields[static_cast<std::size_t>(ip->a)];
-        if (field.isNumeric() && v.isNumeric()) {
-          v = coerceInline(v, field.kind, builtins_, ip->line);
-        }
-        field = v;
-        VM_NEXT();
-      }
-      VM_CASE(kGetFieldCached) {
-        const Value obj = pop();
-        if (obj.isNull()) {
-          throwJava("NullPointerException",
-                    "field '" + name(ip->a) + "' on null at line " +
-                        std::to_string(ip->line));
-        }
-        HeapObject& ho = heap_.get(obj.asRef());
-        charge(energy::Op::kFieldAccess);
-        if (ho.kind == ObjKind::kArray && name(ip->a) == "length") {
-          *sp++ = Value::ofInt(static_cast<std::int64_t>(ho.elems.size()));
-          VM_NEXT();
-        }
-        if (ho.kind != ObjKind::kObject || ho.layout == nullptr) {
-          throw VmError("unknown field '" + name(ip->a) + "' at line " +
-                        std::to_string(ip->line));
-        }
-        FieldCacheEntry& fc = fieldCaches_[static_cast<std::size_t>(ip->b)];
-        if (fc.layout != ho.layout) {
-          const int offset = ho.layout->indexOfName(name(ip->a));
-          if (offset < 0) {
-            throw VmError("unknown field '" + name(ip->a) + "' at line " +
-                          std::to_string(ip->line));
-          }
-          fc = {ho.layout, offset};
-        }
-        *sp++ = ho.fields[static_cast<std::size_t>(fc.offset)];
-        VM_NEXT();
-      }
-      VM_CASE(kPutFieldCached) {
-        Value v = pop();
-        const Value obj = pop();
-        if (obj.isNull()) {
-          throwJava("NullPointerException", "store to field of null");
-        }
-        HeapObject& ho = heap_.get(obj.asRef());
-        JEPO_REQUIRE(ho.kind == ObjKind::kObject && ho.layout != nullptr,
-                     "unknown field '" + name(ip->a) + "'");
-        FieldCacheEntry& fc = fieldCaches_[static_cast<std::size_t>(ip->b)];
-        if (fc.layout != ho.layout) {
-          const int offset = ho.layout->indexOfName(name(ip->a));
-          JEPO_REQUIRE(offset >= 0, "unknown field '" + name(ip->a) + "'");
-          fc = {ho.layout, offset};
-        }
-        Value& field = ho.fields[static_cast<std::size_t>(fc.offset)];
-        charge(energy::Op::kFieldAccess);
-        if (field.isNumeric() && v.isNumeric()) {
-          v = coerceInline(v, field.kind, builtins_, ip->line);
-        }
-        field = v;
-        VM_NEXT();
-      }
-
-      // --- Superinstructions. Each replays the exact charge()/error
-      // sequence of the run it replaced (documented in code.hpp); the
-      // fused step count was already accounted by VM_TOP via Instr::n.
+      // --- Superinstructions: each replays its constituents' charges in
+      // order, taking later constituents' steps at their step points.
 
       VM_CASE(kLoadLoad) {
-        charge(energy::Op::kLocalAccess, 2);
-        sp[0] = slots[static_cast<std::size_t>(ip->a)];
-        sp[1] = slots[static_cast<std::size_t>(ip->b)];
-        sp += 2;
-        VM_NEXT();
-      }
-      VM_CASE(kLoadReturn) {
         charge(energy::Op::kLocalAccess);
-        return slots[static_cast<std::size_t>(ip->a)];
-      }
-      VM_CASE(kThisFieldReturn) {
-        charge(energy::Op::kFieldAccess);
-        return heap_.get(slots[0].asRef())
-            .fields[static_cast<std::size_t>(ip->a)];
-      }
-      VM_CASE(kStorePop) {
-        storeToSlot(ip->a, ip->b, pop(), ip->line);
+        *sp++ = slots[static_cast<std::size_t>(ip->a)];
+        VM_STEPS(ip->n2);
+        charge(energy::Op::kLocalAccess);
+        *sp++ = slots[static_cast<std::size_t>(ip->b)];
         VM_NEXT();
       }
-      VM_CASE(kPutThisFieldSlotPop) {
-        charge(energy::Op::kFieldAccess);
-        Value v = pop();
-        HeapObject& self = heap_.get(slots[0].asRef());
-        Value& field = self.fields[static_cast<std::size_t>(ip->a)];
-        if (field.isNumeric() && v.isNumeric()) {
-          v = coerceInline(v, field.kind, builtins_, ip->line);
-        }
-        field = v;
+      VM_CASE(kLoadBinary) {
+        charge(energy::Op::kLocalAccess);
+        const Value b = slots[static_cast<std::size_t>(ip->a)];
+        sp[-1] = binary(static_cast<jlang::BinOp>(ip->b), sp[-1], b,
+                        ip->line);
         VM_NEXT();
       }
       VM_CASE(kConstBinary) {
         charge(energy::Op::kConstLoad);
-        const Value b = Value::ofInt(
-            program_->intPool[static_cast<std::size_t>(ip->a)]);
-        const Value a = sp[-1];
-        sp[-1] = binary(static_cast<jlang::BinOp>(ip->b), a, b, ip->line);
-        VM_NEXT();
-      }
-      VM_CASE(kLoadConstBinary) {
-        const std::int32_t bb = ip->b;
-        charge(energy::Op::kLocalAccess);
-        const Value a = slots[static_cast<std::size_t>(bb & 0xFFFFF)];
-        charge(energy::Op::kConstLoad);
-        const Value b = Value::ofInt(
-            program_->intPool[static_cast<std::size_t>(ip->a)]);
-        *sp++ = binary(static_cast<jlang::BinOp>((bb >> 20) & 0x1F), a, b,
-                       ip->line);
+        const Value b =
+            Value::ofInt(program_->intPool[static_cast<std::size_t>(ip->a)]);
+        sp[-1] = binary(static_cast<jlang::BinOp>(ip->b), sp[-1], b,
+                        ip->line);
         VM_NEXT();
       }
       VM_CASE(kLoadLoadBinary) {
-        const std::int32_t bb = ip->b;
-        charge(energy::Op::kLocalAccess, 2);
-        const Value a = slots[static_cast<std::size_t>(ip->a)];
-        const Value b = slots[static_cast<std::size_t>(bb & 0xFFFFF)];
-        *sp++ = binary(static_cast<jlang::BinOp>((bb >> 20) & 0x1F), a, b,
-                       ip->line);
+        charge(energy::Op::kLocalAccess);
+        VM_STEPS(ip->n2);
+        charge(energy::Op::kLocalAccess);
+        *sp++ = binary(static_cast<jlang::BinOp>(ip->c),
+                       slots[static_cast<std::size_t>(ip->a)],
+                       slots[static_cast<std::size_t>(ip->b)], ip->line);
         VM_NEXT();
       }
-      VM_CASE(kThisFieldConstBinary) {
-        const std::int32_t bb = ip->b;
-        charge(energy::Op::kFieldAccess);
-        const Value a = heap_.get(slots[0].asRef())
-                            .fields[static_cast<std::size_t>(bb & 0xFFFFF)];
+      VM_CASE(kLoadConstBinary) {
+        charge(energy::Op::kLocalAccess);
+        VM_STEPS(ip->n2);
         charge(energy::Op::kConstLoad);
-        const Value b = Value::ofInt(
-            program_->intPool[static_cast<std::size_t>(ip->a)]);
-        *sp++ = binary(static_cast<jlang::BinOp>((bb >> 20) & 0x1F), a, b,
-                       ip->line);
+        *sp++ = binary(
+            static_cast<jlang::BinOp>(ip->c),
+            slots[static_cast<std::size_t>(ip->a)],
+            Value::ofInt(program_->intPool[static_cast<std::size_t>(ip->b)]),
+            ip->line);
         VM_NEXT();
       }
-      VM_CASE(kThisFieldBinary) {
-        charge(energy::Op::kFieldAccess);
-        const Value b = heap_.get(slots[0].asRef())
-                            .fields[static_cast<std::size_t>(ip->a)];
-        const Value a = sp[-1];
-        sp[-1] = binary(static_cast<jlang::BinOp>(ip->b), a, b, ip->line);
+      VM_CASE(kStoreLocalPop) {
+        storeLocal(ip->a, pop(), ip->line);
         VM_NEXT();
       }
-      VM_CASE(kBinaryCast) {
-        const Value b = pop();
-        const Value a = sp[-1];
-        // The fused kCast is the implicit (b=1) form: coerce, no charge.
-        sp[-1] = coerceInline(
-            binary(static_cast<jlang::BinOp>(ip->a), a, b, ip->line),
-            static_cast<ValKind>(ip->b), builtins_, ip->line);
+      VM_CASE(kIncLocal) {
+        charge(energy::Op::kLocalAccess);
+        const Value r =
+            incDec(ip->b, slots[static_cast<std::size_t>(ip->a)], ip->line);
+        storeLocal(ip->a, r, ip->line);
         VM_NEXT();
       }
-      VM_CASE(kBinCastStorePop) {
-        const std::int32_t bb = ip->b;
+      VM_CASE(kBinaryJumpIfFalse) {
         const Value b = pop();
         const Value a = pop();
-        Value r = binary(static_cast<jlang::BinOp>(bb & 0xFF), a, b,
-                         ip->line);
-        r = coerceInline(r, static_cast<ValKind>((bb >> 8) & 0xFF),
-                              builtins_, ip->line);
-        storeToSlot(ip->a, (bb >> 16) & 0xFF, r, ip->line);
+        if (!binary(static_cast<jlang::BinOp>(ip->b), a, b, ip->line)
+                 .asBool()) {
+          VM_JUMP(ip->a);
+        }
         VM_NEXT();
       }
-      VM_CASE(kLoadLoadBinaryReturn) {
-        const std::int32_t bb = ip->b;
-        charge(energy::Op::kLocalAccess, 2);
-        const Value a = slots[static_cast<std::size_t>(ip->a)];
-        const Value b = slots[static_cast<std::size_t>(bb & 0xFFFFF)];
-        return binary(static_cast<jlang::BinOp>((bb >> 20) & 0x1F), a, b,
-                      ip->line);
-      }
-      VM_CASE(kLoadConstCmpJump) {
-        const std::int32_t bb = ip->b;
+      VM_CASE(kLoadBinaryStore) {
         charge(energy::Op::kLocalAccess);
-        const Value a = slots[static_cast<std::size_t>(bb & 0xFFFFF)];
+        const Value b = slots[static_cast<std::size_t>(ip->a)];
+        const Value a = pop();
+        storeLocal(ip->c, binary(static_cast<jlang::BinOp>(ip->f), a, b,
+                                 ip->line),
+                   ip->line);
+        VM_NEXT();
+      }
+      VM_CASE(kBinaryStore) {
+        const Value b = pop();
+        const Value a = pop();
+        storeLocal(ip->a, binary(static_cast<jlang::BinOp>(ip->f), a, b,
+                                 ip->line),
+                   ip->line);
+        VM_NEXT();
+      }
+      VM_CASE(kLoadLoadBinaryStore) {
+        charge(energy::Op::kLocalAccess);
+        VM_STEPS(ip->n2);
+        charge(energy::Op::kLocalAccess);
+        storeLocal(ip->c,
+                   binary(static_cast<jlang::BinOp>(ip->f),
+                          slots[static_cast<std::size_t>(ip->a)],
+                          slots[static_cast<std::size_t>(ip->b)], ip->line),
+                   ip->line);
+        VM_NEXT();
+      }
+      VM_CASE(kLoadConstBinaryStore) {
+        charge(energy::Op::kLocalAccess);
+        VM_STEPS(ip->n2);
         charge(energy::Op::kConstLoad);
-        const std::int64_t yc =
-            program_->intPool[static_cast<std::size_t>(ip->c)];
-        bool cond;
-        if (a.kind == ValKind::kInt) {
-          Value r;
-          fastIntBinary(static_cast<jlang::BinOp>((bb >> 20) & 0x1F), a,
-                        Value::ofInt(yc), builtins_, *machine_, &r);
-          cond = r.asBool();
-        } else {
-          cond = jvm::applyBinary(static_cast<jlang::BinOp>((bb >> 20) & 0x1F),
-                                  a, Value::ofInt(yc), heap_, builtins_,
-                                  *machine_, ip->line)
-                     .asBool();
-        }
+        storeLocal(ip->c,
+                   binary(static_cast<jlang::BinOp>(ip->f),
+                          slots[static_cast<std::size_t>(ip->a)],
+                          Value::ofInt(program_->intPool[
+                              static_cast<std::size_t>(ip->b)]),
+                          ip->line),
+                   ip->line);
+        VM_NEXT();
+      }
+      VM_CASE(kIncLocalJump) {
+        charge(energy::Op::kLocalAccess);
+        const Value r =
+            incDec(ip->c, slots[static_cast<std::size_t>(ip->b)], ip->line);
+        storeLocal(ip->b, r, ip->line);
+        VM_JUMP(ip->a);
+      }
+      VM_CASE(kStoreLocalPopJump) {
+        storeLocal(ip->b, pop(), ip->line);
+        VM_JUMP(ip->a);
+      }
+      VM_CASE(kCmpLoopHead) {
+        const auto bb = static_cast<std::uint32_t>(ip->b);
         charge(energy::Op::kBranch);
-        if (!cond) VM_JUMP(ip->a);
-        // The kLoopTick is interior to the fused run and executes only on
-        // fall-through; the taken branch exits the run (its target is a
-        // barrier), exactly as the unfused sequence behaves. Its step is
-        // therefore excluded from ip->n and accounted here, limit-checked
-        // before its charge as its own dispatch would have been.
-        if (((bb >> 26) & 1) != 0) {
-          ++steps_;
-          if (steps_ > maxStepsHoisted) throwStepLimit();
-          charge(energy::Op::kLoopIter);
-        }
-        VM_NEXT();
-      }
-      VM_CASE(kLoadLoadCmpJump) {
-        const std::int32_t bb = ip->b;
-        charge(energy::Op::kLocalAccess, 2);
-        const Value a = slots[static_cast<std::size_t>(bb & 0x3FF)];
-        const Value b = slots[static_cast<std::size_t>((bb >> 10) & 0x3FF)];
-        bool cond;
-        if (a.kind == ValKind::kInt && b.kind == ValKind::kInt) {
-          Value r;
-          fastIntBinary(static_cast<jlang::BinOp>((bb >> 20) & 0x1F), a, b,
-                        builtins_, *machine_, &r);
-          cond = r.asBool();
+        VM_STEPS(ip->n2);
+        charge(energy::Op::kLocalAccess);
+        VM_STEPS(ip->n3);
+        Value rhs;
+        if ((ip->f & 1) != 0) {
+          charge(energy::Op::kConstLoad);
+          rhs = Value::ofInt(
+              program_->intPool[static_cast<std::size_t>(ip->c)]);
         } else {
-          cond = jvm::applyBinary(static_cast<jlang::BinOp>((bb >> 20) & 0x1F),
-                                  a, b, heap_, builtins_, *machine_, ip->line)
-                     .asBool();
+          charge(energy::Op::kLocalAccess);
+          rhs = slots[static_cast<std::size_t>(ip->c)];
         }
-        charge(energy::Op::kBranch);
-        if (!cond) VM_JUMP(ip->a);
-        // Fall-through-only tick step + charge; see kLoadConstCmpJump.
-        if (((bb >> 26) & 1) != 0) {
-          ++steps_;
-          if (steps_ > maxStepsHoisted) throwStepLimit();
-          charge(energy::Op::kLoopIter);
+        if (!binary(static_cast<jlang::BinOp>(bb >> 24),
+                    slots[bb & 0xFFFFFFu], rhs, ip->line)
+                 .asBool()) {
+          VM_JUMP(ip->a);
         }
+        if ((ip->f & 2) != 0) charge(energy::Op::kLoopIter);
         VM_NEXT();
-      }
-      VM_CASE(kLoadConstBinStore) {
-        const std::int32_t bb = ip->b;
-        charge(energy::Op::kLocalAccess);
-        const Value a = slots[static_cast<std::size_t>(bb & 0x3FF)];
-        charge(energy::Op::kConstLoad);
-        const Value b = Value::ofInt(
-            program_->intPool[static_cast<std::size_t>(ip->a)]);
-        Value r = binary(static_cast<jlang::BinOp>((bb >> 20) & 0x1F), a, b,
-                         ip->line);
-        if (ip->c >= 0) {
-          r = coerceInline(r, static_cast<ValKind>(ip->c), builtins_,
-                                ip->line);
-        }
-        storeToSlot((bb >> 10) & 0x3FF, (bb >> 25) & 0xF, r, ip->line);
-        VM_NEXT();
-      }
-      VM_CASE(kIncDecLocalStmt) {
-        const std::int32_t bb = ip->b;
-        const std::int32_t slot = bb & 0xFFFFF;
-        charge(energy::Op::kLocalAccess);
-        const Value old = slots[static_cast<std::size_t>(slot)];
-        charge(energy::Op::kConstLoad);
-        const Value step = Value::ofInt(
-            program_->intPool[static_cast<std::size_t>(ip->a)]);
-        Value r = binary(static_cast<jlang::BinOp>((bb >> 20) & 0x1F), old,
-                         step, ip->line);
-        if (ip->c >= 0) {
-          r = coerceInline(r, static_cast<ValKind>(ip->c), builtins_,
-                                ip->line);
-        }
-        storeToSlot(slot, (bb >> 25) & 0xF, r, ip->line);
-        VM_NEXT();
-      }
-      VM_CASE(kLoadLoadConstBinary) {
-        const std::int32_t bb = ip->b;
-        // Two loads with no possible throw between them: one merged charge.
-        charge(energy::Op::kLocalAccess, 2);
-        const Value a = slots[static_cast<std::size_t>(bb & 0x3FF)];
-        const Value b = slots[static_cast<std::size_t>((bb >> 10) & 0x3FF)];
-        charge(energy::Op::kConstLoad);
-        const Value k = Value::ofInt(
-            program_->intPool[static_cast<std::size_t>(ip->a)]);
-        sp[0] = a;
-        sp[1] = binary(static_cast<jlang::BinOp>((bb >> 20) & 0x1F), b, k,
-                       ip->line);
-        sp += 2;
-        VM_NEXT();
-      }
-      VM_CASE(kIncDecJump) {
-        const std::int32_t bb = ip->b;
-        const std::int32_t slot = bb & 0xFFFF;
-        charge(energy::Op::kLocalAccess);
-        const Value old = slots[static_cast<std::size_t>(slot)];
-        charge(energy::Op::kConstLoad);
-        const Value step = Value::ofInt(
-            program_->intPool[static_cast<std::size_t>(ip->a)]);
-        Value r = binary(static_cast<jlang::BinOp>((bb >> 16) & 0x1F), old,
-                         step, ip->line);
-        const std::int32_t castE = (bb >> 25) & 0xF;
-        if (castE != 15) {
-          r = coerceInline(r, static_cast<ValKind>(castE), builtins_,
-                                ip->line);
-        }
-        storeToSlot(slot, (bb >> 21) & 0xF, r, ip->line);
-        VM_JUMP(ip->c);
-      }
-      VM_CASE(kAccumConstStmt) {
-        const std::int32_t bb = ip->b;
-        const std::int32_t s1 = bb & 0x3FF;
-        // Two loads with no possible throw between them: one merged charge.
-        charge(energy::Op::kLocalAccess, 2);
-        const Value a = slots[static_cast<std::size_t>(s1)];
-        const Value b = slots[static_cast<std::size_t>((bb >> 10) & 0x3FF)];
-        charge(energy::Op::kConstLoad);
-        const Value k = Value::ofInt(
-            program_->intPool[static_cast<std::size_t>(ip->a)]);
-        const Value t = binary(static_cast<jlang::BinOp>((bb >> 20) & 0x1F),
-                               b, k, ip->line);
-        Value r = binary(static_cast<jlang::BinOp>((bb >> 25) & 0x1F), a, t,
-                         ip->line);
-        const std::int32_t castE = (ip->c >> 4) & 0xF;
-        if (castE != 15) {
-          r = coerceInline(r, static_cast<ValKind>(castE), builtins_,
-                           ip->line);
-        }
-        storeToSlot(s1, ip->c & 0xF, r, ip->line);
-        VM_NEXT();
-      }
-      VM_CASE(kThisFieldAccumReturn) {
-        const std::int32_t aa = ip->a;
-        const std::size_t o1 = static_cast<std::size_t>(aa & 0xFFF);
-        charge(energy::Op::kFieldAccess);
-        HeapObject& self = heap_.get(slots[0].asRef());
-        const Value a = self.fields[o1];
-        charge(energy::Op::kFieldAccess);
-        const Value b =
-            self.fields[static_cast<std::size_t>((aa >> 12) & 0xFFF)];
-        Value r = binary(static_cast<jlang::BinOp>(ip->b & 0xFF), a, b,
-                         ip->line);
-        const std::int32_t castE = (ip->b >> 8) & 0xF;
-        if (castE != 15) {
-          r = coerceInline(r, static_cast<ValKind>(castE), builtins_,
-                           ip->line);
-        }
-        // The seed kPutThisFieldSlot store rule, then the re-read that the
-        // trailing kGetThisFieldSlot performed. `self` stays valid across
-        // an allocating binary: heap addresses are stable between
-        // safepoints.
-        charge(energy::Op::kFieldAccess);
-        Value& field = self.fields[o1];
-        if (field.isNumeric() && r.isNumeric()) {
-          r = coerceInline(r, field.kind, builtins_, ip->line);
-        }
-        field = r;
-        charge(energy::Op::kFieldAccess);
-        return field;
-      }
-      // Loop-tail pairs (matchPair): each replays its two constituents'
-      // charge sequences back to back, then takes the latch's jump.
-      VM_CASE(kAccumConstJump) {
-        const std::uint32_t aa = static_cast<std::uint32_t>(ip->a);
-        const std::int32_t bb = ip->b;
-        const std::uint32_t cc = static_cast<std::uint32_t>(ip->c);
-        const std::int32_t s1 = bb & 0xFF;
-        const std::int32_t s2 = (bb >> 8) & 0xFF;
-        charge(energy::Op::kLocalAccess, 2);
-        const Value a = slots[static_cast<std::size_t>(s1)];
-        const Value b = slots[static_cast<std::size_t>(s2)];
-        charge(energy::Op::kConstLoad);
-        const Value k = Value::ofInt(program_->intPool[aa & 0xFFFF]);
-        const Value t = binary(static_cast<jlang::BinOp>((bb >> 16) & 0x1F),
-                               b, k, ip->line);
-        Value r = binary(static_cast<jlang::BinOp>((bb >> 21) & 0x1F), a, t,
-                         ip->line);
-        const std::uint32_t castE = (cc >> 20) & 0xF;
-        if (castE != 15) {
-          r = coerceInline(r, static_cast<ValKind>(castE), builtins_,
-                           ip->line);
-        }
-        storeToSlot(s1, static_cast<std::int32_t>((cc >> 16) & 0xF), r,
-                    ip->line);
-        charge(energy::Op::kLocalAccess);
-        const Value old = slots[static_cast<std::size_t>(s2)];
-        charge(energy::Op::kConstLoad);
-        const Value step = Value::ofInt(program_->intPool[(aa >> 16) & 0xFFFF]);
-        Value r2 = binary(static_cast<jlang::BinOp>((bb >> 26) & 0x1F), old,
-                          step, ip->line);
-        const std::uint32_t castL = cc >> 28;
-        if (castL != 15) {
-          r2 = coerceInline(r2, static_cast<ValKind>(castL), builtins_,
-                            ip->line);
-        }
-        storeToSlot(s2, static_cast<std::int32_t>((cc >> 24) & 0xF), r2,
-                    ip->line);
-        VM_JUMP(static_cast<std::int32_t>(cc & 0xFFFF));
-      }
-      VM_CASE(kStorePopIncDecJump) {
-        const std::uint32_t aa = static_cast<std::uint32_t>(ip->a);
-        const std::int32_t bb = ip->b;
-        const std::int32_t cc = ip->c;
-        storeToSlot(bb & 0x3FF, cc & 0xF, pop(), ip->line);
-        const std::int32_t slotL = (bb >> 10) & 0x3FF;
-        charge(energy::Op::kLocalAccess);
-        const Value old = slots[static_cast<std::size_t>(slotL)];
-        charge(energy::Op::kConstLoad);
-        const Value step = Value::ofInt(program_->intPool[aa & 0xFFFF]);
-        Value r = binary(static_cast<jlang::BinOp>((bb >> 20) & 0x1F), old,
-                         step, ip->line);
-        const std::int32_t castL = (cc >> 8) & 0xF;
-        if (castL != 15) {
-          r = coerceInline(r, static_cast<ValKind>(castL), builtins_,
-                           ip->line);
-        }
-        storeToSlot(slotL, (cc >> 4) & 0xF, r, ip->line);
-        VM_JUMP(static_cast<std::int32_t>(aa >> 16));
-      }
-      VM_CASE(kBinCastStoreIncDecJump) {
-        const std::uint32_t aa = static_cast<std::uint32_t>(ip->a);
-        const std::int32_t bb = ip->b;
-        const std::int32_t cc = ip->c;
-        const Value vb = pop();
-        const Value va = pop();
-        Value r = binary(static_cast<jlang::BinOp>((bb >> 16) & 0x1F), va, vb,
-                         ip->line);
-        r = coerceInline(r, static_cast<ValKind>((cc >> 4) & 0xF), builtins_,
-                         ip->line);
-        storeToSlot(bb & 0xFF, cc & 0xF, r, ip->line);
-        const std::int32_t slotL = (bb >> 8) & 0xFF;
-        charge(energy::Op::kLocalAccess);
-        const Value old = slots[static_cast<std::size_t>(slotL)];
-        charge(energy::Op::kConstLoad);
-        const Value step = Value::ofInt(program_->intPool[aa & 0xFFFF]);
-        Value r2 = binary(static_cast<jlang::BinOp>((bb >> 21) & 0x1F), old,
-                          step, ip->line);
-        const std::int32_t castL = (cc >> 12) & 0xF;
-        if (castL != 15) {
-          r2 = coerceInline(r2, static_cast<ValKind>(castL), builtins_,
-                            ip->line);
-        }
-        storeToSlot(slotL, (cc >> 8) & 0xF, r2, ip->line);
-        VM_JUMP(static_cast<std::int32_t>(aa >> 16));
-      }
-      VM_CASE(kCountedAccumLoop) {
-        const std::uint32_t aa = static_cast<std::uint32_t>(ip->a);
-        const std::int32_t bb = ip->b;
-        const std::uint32_t cc = static_cast<std::uint32_t>(ip->c);
-        const std::int32_t s1 = bb & 0xFF;
-        const std::int32_t s2 = (bb >> 8) & 0xFF;
-        // The kLoadConstCmpJump part (covered by ip->n at VM_TOP).
-        charge(energy::Op::kLocalAccess);
-        const Value iv = slots[static_cast<std::size_t>(s2)];
-        charge(energy::Op::kConstLoad);
-        const std::int64_t yc = program_->intPool[aa & 0xFFFF];
-        bool cond;
-        if (iv.kind == ValKind::kInt) {
-          Value rc;
-          fastIntBinary(static_cast<jlang::BinOp>((cc >> 10) & 0x1F), iv,
-                        Value::ofInt(yc), builtins_, *machine_, &rc);
-          cond = rc.asBool();
-        } else {
-          cond = jvm::applyBinary(static_cast<jlang::BinOp>((cc >> 10) & 0x1F),
-                                  iv, Value::ofInt(yc), heap_, builtins_,
-                                  *machine_, ip->line)
-                     .asBool();
-        }
-        charge(energy::Op::kBranch);
-        if (!cond) VM_NEXT();  // the implicit exit: fall through the loop
-        // Taken-path-only tick step + charge; see kLoadConstCmpJump.
-        if (((cc >> 15) & 1) != 0) {
-          ++steps_;
-          if (steps_ > maxStepsHoisted) throwStepLimit();
-          charge(energy::Op::kLoopIter);
-        }
-        // The kAccumConstJump part: account its seed run length before
-        // executing it, exactly as its own dispatch would have.
-        const std::uint32_t castK1 = (cc >> 20) & 0xF;
-        const std::uint32_t castKL = cc >> 28;
-        steps_ += 15 + (castK1 != 15 ? 1 : 0) + (castKL != 15 ? 1 : 0);
-        if (steps_ > maxStepsHoisted) throwStepLimit();
-        charge(energy::Op::kLocalAccess, 2);
-        const Value a = slots[static_cast<std::size_t>(s1)];
-        const Value b = slots[static_cast<std::size_t>(s2)];
-        charge(energy::Op::kConstLoad);
-        const Value k = Value::ofInt(program_->intPool[aa >> 16]);
-        const Value t = binary(static_cast<jlang::BinOp>((bb >> 16) & 0x1F),
-                               b, k, ip->line);
-        Value r = binary(static_cast<jlang::BinOp>((bb >> 21) & 0x1F), a, t,
-                         ip->line);
-        if (castK1 != 15) {
-          r = coerceInline(r, static_cast<ValKind>(castK1), builtins_,
-                           ip->line);
-        }
-        storeToSlot(s1, static_cast<std::int32_t>((cc >> 16) & 0xF), r,
-                    ip->line);
-        charge(energy::Op::kLocalAccess);
-        const Value old = slots[static_cast<std::size_t>(s2)];
-        charge(energy::Op::kConstLoad);
-        const Value step = Value::ofInt(program_->intPool[cc & 0x3FF]);
-        Value r2 = binary(static_cast<jlang::BinOp>((bb >> 26) & 0x1F), old,
-                          step, ip->line);
-        if (castKL != 15) {
-          r2 = coerceInline(r2, static_cast<ValKind>(castKL), builtins_,
-                            ip->line);
-        }
-        storeToSlot(s2, static_cast<std::int32_t>((cc >> 24) & 0xF), r2,
-                    ip->line);
-        VM_DISPATCH();  // the implicit backedge: re-dispatch this very op
       }
 
 #ifndef JEPO_COMPUTED_GOTO
@@ -2022,9 +1354,8 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
 #endif
     } catch (const Thrown& thrown) {
       // Exception table search, in declaration order. `ip` still addresses
-      // the throwing instruction (handlers never advance it before a
-      // potential throw), so the fused pc maps into the remapped ranges
-      // exactly as every interior pc of its run would have.
+      // the throwing instruction, and a fused run never straddles a
+      // handler boundary.
       const auto pc = static_cast<std::size_t>(ip - codeBase);
       const std::string& thrownClass =
           heap_.get(thrown.exception.asRef()).className;
@@ -2038,8 +1369,7 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
           match = &h;
           break;
         }
-        const std::string& handlerClass =
-            names[static_cast<std::size_t>(h.classNameIdx)];
+        const std::string& handlerClass = name(h.classNameIdx);
         if (handlerClass == thrownClass || handlerClass == "Exception" ||
             (handlerClass == "RuntimeException" &&
              BuiltinLibrary::looksLikeExceptionClass(thrownClass))) {
@@ -2050,15 +1380,12 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
       if (match == nullptr) throw;
       if (match->classNameIdx >= 0) charge(energy::Op::kCatch);
       sp = stackBase;
-      if (match->slot >= 0) {
-        slots[static_cast<std::size_t>(match->slot)] = thrown.exception;
-      } else {
-        *sp++ = thrown.exception;
-      }
+      slots[static_cast<std::size_t>(match->slot)] = thrown.exception;
       ip = codeBase + match->handler;
     }
   }
 
+#undef VM_STEPS
 #undef VM_TOP
 #undef VM_CASE
 #undef VM_DISPATCH
@@ -2067,14 +1394,20 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
 }
 
 jvm::Value BytecodeVm::runMain(std::string_view mainClass) {
-  const CompiledClass* target = nullptr;
-  std::vector<const CompiledClass*> mains;
-  for (const auto& [n, cls] : program_->classes) {
-    if (cls.hasMain) mains.push_back(&cls);
+  // Candidates in declaration order, as Program::mainClasses lists them.
+  std::vector<const jlang::ClassDecl*> mains;
+  for (const auto& rc : resolution_->classes) {
+    const jlang::MethodDecl* m = rc.decl->findMethod("main");
+    if (m != nullptr && m->isStatic) mains.push_back(rc.decl);
   }
+  const jlang::ClassDecl* target = nullptr;
   if (mainClass.empty()) {
     if (mains.empty()) throw VmError("no class declares static void main");
-    if (mains.size() > 1) throw VmError("multiple main classes");
+    if (mains.size() > 1) {
+      std::string names;
+      for (const auto* c : mains) names += " " + c->name;
+      throw VmError("multiple main classes; pick one of:" + names);
+    }
     target = mains.front();
   } else {
     for (const auto* c : mains) {
@@ -2084,10 +1417,15 @@ jvm::Value BytecodeVm::runMain(std::string_view mainClass) {
       throw VmError("no main method in class " + std::string(mainClass));
     }
   }
+  const CompiledClass& cls = *program_->findClass(target->name);
   ensureClassInit(target->name);
-  const Ref argsArr = heap_.allocArray(0, ValKind::kRef);
-  return invoke(*target, target->methods.at("main"),
-                {Value::ofRef(argsArr)});
+  const std::uint64_t steps0 = steps_;
+  const std::uint64_t heap0 = heap_.allocCount();
+  const Value argsArr = Value::ofRef(heap_.allocArray(0, ValKind::kRef));
+  const Value out =
+      invoke(cls, cls.methods.at("main"), Value::null(), &argsArr, 1);
+  flushVmCounters(steps_ - steps0, heap_.allocCount() - heap0);
+  return out;
 }
 
 jvm::Value BytecodeVm::callStatic(std::string_view className,
@@ -2101,20 +1439,23 @@ jvm::Value BytecodeVm::callStatic(std::string_view className,
   JEPO_REQUIRE(it->second.isStatic, "method is not static");
   jvm::Gc::ScopedVector rootArgs(gc_, args);  // live across <clinit>
   ensureClassInit(cls->name);
-  return invoke(*cls, it->second, std::move(args));
+  const std::uint64_t steps0 = steps_;
+  const std::uint64_t heap0 = heap_.allocCount();
+  const Value out =
+      invoke(*cls, it->second, Value::null(), args.data(), args.size());
+  flushVmCounters(steps_ - steps0, heap_.allocCount() - heap0);
+  return out;
 }
 
 void BytecodeVm::scanGcRoots(jvm::Gc::RootWalker& w) {
   for (Value& v : statics_) w.visit(v);
-  // Interned literals are roots: re-executing a literal load must keep
+  // Interned literals are roots: re-evaluating a literal must keep
   // returning the same Ref (the walker skips unfilled kNullRef entries).
-  for (Ref& r : literalByName_) w.visit(r);
-  // Every active frame's locals and live operand-stack prefix. `top` was
-  // recorded at the frame's most recent dispatch safepoint; during a
-  // nested call it additionally covers the argument span the callee is
-  // consuming — still precise values, remapped in place by compaction.
+  for (Ref& r : literalPool_) w.visit(r);
+  w.visit(retVal_);
   for (std::size_t i = 0; i < frameDepth_ && i < framePool_.size(); ++i) {
     Frame& f = *framePool_[i];
+    w.visit(f.thisV);
     for (std::size_t s = 0; s < f.liveSlots; ++s) w.visit(f.slots[s]);
     for (std::size_t s = 0; s < f.top; ++s) w.visit(f.stack[s]);
   }

@@ -1,20 +1,23 @@
-// The bytecode stack machine. Shares the Heap/Value/BuiltinLibrary/ops
-// substrate with the tree interpreter, honours the same MethodHooks
-// interface (so the Instrumenter plugs into either engine), and charges the
-// same cost model — at the granularity of compiled instructions.
+// The bytecode stack machine — the engine every profile job runs on.
+//
+// Shares the Heap/Value/BuiltinLibrary/ops substrate with the tree
+// interpreter, honours the same MethodHooks interface (so the Instrumenter
+// plugs into either engine), and reproduces the tree's event sequence
+// exactly: the same steps, meter charges, onEnter/onExit hooks, printed
+// bytes, heap-allocation order and error texts (code.hpp explains how the
+// compiler lays those out). The tree interpreter stays in the tree as the
+// oracle the tests compare against.
 //
 // The inner loop is direct-threaded (computed goto) on GCC/Clang with a
-// portable switch fallback (-DJEPO_NO_COMPUTED_GOTO), executes the
-// compiler's superinstructions (code.hpp), and quickens the dynamic
-// fallback ops (kCallStatic / kCallVirtual / name-keyed field access) into
-// their resolved/cached forms on first execution — in a VM-private copy of
-// the chunk, keyed by Chunk::chunkId, so concurrent VMs sharing one
-// CompiledProgram never race. Every rewrite preserves the charge sequence,
-// error strings and step accounting of the seed interpreter exactly.
+// portable switch fallback (-DJEPO_NO_COMPUTED_GOTO) and executes the
+// compiler's superinstructions, which take their constituents' steps at
+// the same points the tree does; every point that takes steps checks the
+// step limit and the cancel token, as the tree's step() does.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -22,9 +25,9 @@
 #include "jbc/code.hpp"
 #include "jlang/resolve.hpp"
 #include "jvm/builtins.hpp"
+#include "jvm/engine.hpp"
 #include "jvm/gc.hpp"
 #include "jvm/heap.hpp"
-#include "jvm/interpreter.hpp"  // MethodHooks, Thrown
 #include "support/cancel.hpp"
 
 namespace jepo::jbc {
@@ -41,17 +44,17 @@ class BytecodeVm {
     hooks_ = hooks;
     tier_ = hooks != nullptr ? hooks->tierGate() : nullptr;
   }
+  /// Abort with the tree's VmError once this many tree steps have run
+  /// (0 disables the limit).
   void setMaxSteps(std::uint64_t maxSteps) {
     maxSteps_ = maxSteps;
     maxStepsEff_ = maxSteps == 0 ? ~std::uint64_t{0} : maxSteps;
   }
 
-  /// Install (or clear, with nullptr) a cooperative cancel token, polled at
-  /// the VM_TOP dispatch prologue — the engine's existing per-dispatch
-  /// safepoint, which fused superinstructions (including kCountedAccumLoop's
-  /// implicit backedge) re-enter every iteration, so the fast path cannot
-  /// starve cancellation. A fired token throws CancelledError out of run().
-  /// Host-time-only: never-fired tokens leave observables bit-identical.
+  /// Install (or clear, with nullptr) a cooperative cancel token. A fired
+  /// token unwinds with CancelledError at the next tree step, through the
+  /// same abort path as the step limit. Never-fired tokens leave every
+  /// observable bit-identical.
   void setCancelToken(const CancelToken* token) { cancel_ = token; }
 
   /// Run `static void main` (the unique one, or the named class's).
@@ -70,84 +73,67 @@ class BytecodeVm {
   jvm::Gc& gc() noexcept { return gc_; }
 
  private:
-  /// Monomorphic inline cache at one kCallVirtualCached site.
+  /// Monomorphic inline cache at one kInvokeVirtual site.
   struct CallCacheEntry {
     std::int32_t classId = -1;
     const CompiledClass* cls = nullptr;
     const Chunk* chunk = nullptr;
   };
-  /// Monomorphic inline cache at one kGet/PutFieldCached site.
+  /// Monomorphic inline cache at one kGetField/kPutField site.
   struct FieldCacheEntry {
     const jlang::ClassLayout* layout = nullptr;
     std::int32_t offset = -1;
   };
 
-  /// One pooled frame (locals + operand stack), indexed by call depth.
-  /// Frames are heap-allocated so their addresses stay stable while the
-  /// pool grows; the vectors are sized once per chunk shape and then
-  /// reused allocation-free. `top` is the stack height recorded at the
-  /// owning run()'s most recent dispatch — collections happen only at that
-  /// safepoint, so [0, top) is exactly the live-operand root span (during
-  /// a nested call it is stale-high by the argument span, which holds
-  /// copies of callee-live values — still precise marking).
+  /// One pooled frame (locals + operand stack + `this`), indexed by call
+  /// depth. Frames are heap-allocated so their addresses stay stable while
+  /// the pool grows. `top` is the stack height recorded at the owning
+  /// run()'s most recent dispatch — collections happen only at that
+  /// safepoint, so [0, top) is exactly the live-operand root span.
   struct Frame {
     std::vector<jvm::Value> slots;
     std::vector<jvm::Value> stack;
+    jvm::Value thisV;
     std::size_t liveSlots = 0;
     std::size_t top = 0;
   };
 
-  // Cold call paths keep the seed's vector form; the hot resolved/cached
-  // ops pass caller-stack spans instead (no allocation, args stay rooted
-  // through the caller frame).
+  /// The tree's invoke: depth check, hooks, parameter coercion, body,
+  /// kReturn. `args` must stay rooted by the caller (its operand stack or
+  /// a scoped vector) until the callee frame holds copies.
   jvm::Value invoke(const CompiledClass& cls, const Chunk& chunk,
-                    std::vector<jvm::Value> args);
-  jvm::Value invokeSpan(const CompiledClass& cls, const Chunk& chunk,
-                        const jvm::Value* args, std::size_t argc);
-  jvm::Value invokeRecvSpan(const CompiledClass& cls, const Chunk& chunk,
-                            const jvm::Value& recv, const jvm::Value* rest,
-                            std::size_t nRest);
-  /// Shared tail of every invoke flavour: frame bookkeeping, hooks, run,
-  /// and the kReturn charge.
-  jvm::Value finishInvoke(const CompiledClass& cls, const Chunk& chunk,
-                          Frame& frame);
+                    jvm::Value thisV, const jvm::Value* args,
+                    std::size_t argc);
+  /// Field initializers: a frame without hooks or charges of its own,
+  /// exactly like the tree's inline ensureClassInit / construct loops.
+  void runInitializers(const CompiledClass& cls, const Chunk& chunk,
+                       jvm::Value thisV);
   Frame& acquireFrame(const Chunk& chunk);
-  jvm::Value run(const CompiledClass& cls, const Chunk& chunk, Frame& frame);
+  /// Execute a chunk; its result is left in retVal_.
+  void run(const CompiledClass& cls, const Chunk& chunk, Frame& frame);
 
-  /// The VM-private mutable copy of a chunk's code, created on first
-  /// quickening (nullptr when the chunk can't be keyed). Updates
-  /// codeById_ so subsequent runs execute the quickened copy.
-  Instr* quickenableCode(const Chunk& chunk);
-
-  /// Trivial-callee inlining: a resolved call whose target body is a single
-  /// fused accessor instruction ([kLoadLoadBinaryReturn], [kLoadReturn] or
-  /// [kThisFieldReturn], no exception table) executes without frame setup.
-  /// Used only when hooks are off and every argument kind already matches
-  /// the parameter kind, so charges, step accounting, safepoint placement
-  /// and throw behaviour replicate the framed call exactly. Returns false
-  /// (doing nothing) when the call must take the framed path.
-  bool inlineSpanCall(const Chunk& chunk, const jvm::Value* args,
-                      std::size_t argc, jvm::Value* out);
-  bool inlineRecvCall(const Chunk& chunk, const jvm::Value& recv,
-                      const jvm::Value* rest, std::size_t nRest,
-                      jvm::Value* out);
-
-  // Class initialization: by resolved id (hot) or by name (entry points
-  // and dynamic fallbacks — a no-op for names naming no program class).
   void ensureClassInit(const std::string& className);
   void ensureClassInitById(std::int32_t classId);
-  /// Flat static lookup after class init; nullptr when unknown.
+  /// The tree's name-keyed static lookup (class init first); nullptr when
+  /// the class has no such static.
   jvm::Value* findStaticByName(const std::string& className,
                                const std::string& fieldName);
   jvm::Value construct(const std::string& className,
-                       std::vector<jvm::Value> args, int line);
-  /// Resolved construction: builtin probe already ruled out.
-  jvm::Value constructById(std::int32_t classId,
-                           std::vector<jvm::Value> args);
-  jvm::Value constructByIdSpan(std::int32_t classId, const jvm::Value* args,
-                               std::size_t argc);
+                       std::vector<jvm::Value>& args, int line);
+  jvm::Value constructById(std::int32_t classId, const jvm::Value* args,
+                           std::size_t argc);
   jvm::Value allocArray(const std::vector<std::int64_t>& dims,
                         std::size_t level, jvm::ValKind leafKind);
+  // Out-of-line bodies of the dispatch handlers that own vectors or
+  // scoped roots (bcvm.cpp explains why); operands are caller-stack spans.
+  jvm::Value newArray(const Instr& in, const jvm::Value* dims);
+  jvm::Value newDynamic(const Instr& in, const jvm::Value* args);
+  jvm::Value callBuiltin(const Instr& in, const jvm::Value* args);
+  /// kInvokeVirtual on anything but a program-class object (strings,
+  /// builders, boxed values, foreign exception objects): the tree's
+  /// builtin-first sequence.
+  jvm::Value invokeVirtualSlow(const Instr& in, const jvm::Value& receiver,
+                               const jvm::Value* args);
 
   void chargeRowLoad(jvm::Ref array, std::int64_t index, bool rowIsArray);
   void charge(energy::Op op, std::uint64_t n = 1) { machine_->charge(op, n); }
@@ -171,47 +157,34 @@ class BytecodeVm {
   // concurrent VMs over one CompiledProgram share no mutable state.
   std::vector<jvm::Value> statics_;          // global static slots
   std::vector<char> classInitDone_;          // by classId
-  std::vector<jvm::Ref> literalByName_;      // by names index (lazy)
+  std::vector<jvm::Ref> literalPool_;        // by string-literal id (lazy)
   std::vector<const CompiledClass*> classById_;        // by classId
   std::vector<std::vector<const Chunk*>> methodChunks_;  // by (classId, ordinal)
   // Per-class static defaults as (global slot, kind), declaration order.
   std::vector<std::vector<std::pair<std::int32_t, jvm::ValKind>>>
       staticDefaults_;
   std::vector<std::vector<jvm::Value>> objectTemplates_;  // default fields
-  std::vector<CallCacheEntry> callCaches_;   // by Instr::c cache slot
-  std::vector<FieldCacheEntry> fieldCaches_; // by Instr::b cache slot
-
-  // Quickening state, by Chunk::chunkId: the active code pointer each
-  // run() dispatches from (shared immutable code until the first rewrite),
-  // and the VM-private copies that replace it.
-  std::vector<const Instr*> codeById_;
-  std::vector<std::vector<Instr>> quickened_;
-
-  /// By chunkId: which trivial-callee shape the chunk is (kNotTrivial when
-  /// the body is anything more than a single fused accessor instruction).
-  enum : std::uint8_t {
-    kNotTrivial = 0,
-    kTrivLoadLoadBinaryReturn,
-    kTrivLoadReturn,
-    kTrivThisFieldReturn,
-    kTrivThisFieldAccumReturn,
-  };
-  std::vector<std::uint8_t> trivialKind_;
+  std::vector<const Chunk*> ctorById_;       // by classId (nullptr: none)
+  std::vector<CallCacheEntry> callCaches_;   // by call-cache slot
+  std::vector<FieldCacheEntry> fieldCaches_; // by field-cache slot
+  std::int32_t lengthName_ = -1;             // names index of "length"
 
   std::vector<std::unique_ptr<Frame>> framePool_;  // by call depth
+
+  /// The tree's return register (Interpreter::returnValue_).
+  jvm::Value retVal_;
 
   std::uint64_t steps_ = 0;
   std::uint64_t maxSteps_ = 0;
   std::uint64_t maxStepsEff_ = ~std::uint64_t{0};
   const CancelToken* cancel_ = nullptr;
-  std::size_t frameDepth_ = 0;
+  std::size_t frameDepth_ = 0;  // invoke and initializer frames
 
   jvm::Ref lastRowArray_ = 0xFFFFFFFF;
   std::int64_t lastRowIndex_ = -1;
 
-  // Precise roots: statics, interned literals, and every active frame's
-  // slots[0, liveSlots) + stack[0, top). Collects only at the
-  // dispatch-loop safepoint, where top is freshly recorded.
+  // Precise roots: statics, interned literals, the return register and
+  // every active frame's `this`, slots[0, liveSlots) + stack[0, top).
   void scanGcRoots(jvm::Gc::RootWalker& w);
   jvm::Gc gc_;
 

@@ -4,10 +4,35 @@
 // bodies. The jbc module makes that level real: a compiler lowers MiniJava
 // methods into stack-machine chunks (with exception tables, as on the real
 // JVM), and a bytecode VM executes them on the same Heap/Value/Builtin
-// substrate as the tree interpreter. The two engines are pinned together by
-// cross-engine agreement tests; their energy accounting differs only where
-// the compiled form genuinely differs (e.g. a ternary compiles to plain
-// branches).
+// substrate as the tree interpreter.
+//
+// One charging semantics. The tree interpreter (jvm/interpreter.hpp) is
+// the definition: every execStmt/eval takes one step, and every node
+// charges the meter in a fixed order around its children. The compiler
+// lowers each AST node so that the bytecode produces the *same event
+// sequence* — steps, meter charges, onEnter/onExit hooks and printed
+// bytes — as the tree walk of that node:
+//
+//  * Instr::n is the number of tree steps taken at the start of the
+//    instruction, before any of its effects. A node's entry step rides on
+//    the first instruction emitted for it (usually the leftmost leaf of
+//    its subtree), so a run of nested node entries collapses into one n.
+//  * Where the tree charges between two steps (the kBranch of an `if`
+//    before its condition is evaluated, a loop's kLoopIter before its
+//    body), the compiler emits a charge-only kCharge instruction.
+//  * Charges are never moved across a step, a hook or a print, so a
+//    step-limit or cancel abort lands at exactly the tree's meter state.
+//
+// Superinstructions (produced by the peephole pass in compiler.cpp) run a
+// whole instruction run in one dispatch and may regroup charges that sit
+// between the same two steps. A constituent's steps are taken exactly
+// where the tree takes them: the first constituent's in Instr::n (by the
+// dispatch prologue), a later constituent's in Instr::n2 / Instr::n3 at the
+// matching point inside the handler (each op below documents which
+// constituents those are; every other constituent takes no steps). So a
+// step-limit or cancel abort — checked at every step point that takes
+// steps, never between charges of one step — leaves the meter, output and
+// records exactly where the tree leaves them, fused or not.
 #pragma once
 
 #include <cstdint>
@@ -22,188 +47,165 @@
 namespace jepo::jbc {
 
 enum class Op : std::uint8_t {
-  // Constants. a indexes the matching pool; b is a flags word.
+  // Step/charge carriers.
+  kStep,    // no effect: carries steps only (e.g. an empty block's entry)
+  kCharge,  // a = energy::Op, charged once
+
+  // Constants (each charges kConstLoad, or kConstLoadPlainDecimal).
   kConstInt,     // a -> intPool
   kConstLong,    // a -> intPool
   kConstFloat,   // a -> numPool; b=1: plain-decimal spelling
   kConstDouble,  // a -> numPool; b=1: plain-decimal spelling
-  kConstStr,     // a -> names (interned at runtime)
+  kConstStr,     // a = resolver string-literal id (interned lazily)
   kConstChar,    // a = code point
   kConstBool,    // a = 0/1
   kConstNull,
+  kPushDefault,  // a = ValKind: Heap::defaultValue, uncharged
+  kPushBool,     // a = 0/1, uncharged (short-circuit result)
 
-  // Locals. a = slot; for kStore b = ValKind to coerce to (-1: none).
-  kLoad,
-  kStore,
-  kLoadThis,
+  // Locals and `this`.
+  kLoad,        // a = slot
+  kLoadThis,    // the frame's `this` (null in static frames)
+  kStoreLocal,  // a = slot; pops v, the tree's storeTo(local) rule
+  kDeclLocal,   // a = slot, b = declared ValKind, c -> names (wrapper class
+                // to box into) or -1; pops v, the tree's kVarDecl rule
 
-  // Fields. a -> names.
-  kGetField,      // obj -> value   (array.length handled here)
-  kPutField,      // obj value ->
-  kGetThisField,  // -> value
-  kPutThisField,  // value ->
-  kGetStatic,     // a -> names ("Class.field")
-  kPutStatic,
+  // Fields of `this` (resolver offsets); c -> names (field name) for the
+  // null-`this` static fallback and its error text.
+  kGetThisField,  // a = offset
+  kPutThisField,  // a = offset; pops v
+
+  // Statics.
+  kGetStatic,      // a = global slot, b = classId (class init first)
+  kPutStatic,      // a = global slot, b = classId; pops v
+  kGetStaticSite,  // a -> CompiledProgram::staticSites (builtin probe,
+                   // missing-field errors)
+  kPutStaticSite,  // a -> staticSites; pops v
+  kInitStatic,     // a = slot, b = ValKind, c -> names (wrapper) or -1;
+                   // one static initializer store (<clinit>)
+  kInitField,      // a = offset, b = ValKind; one instance initializer
+                   // store (<initfields>)
+
+  // Instance fields through the resolver's inline-cache slot.
+  kGetField,  // a -> names (field), b = cache slot; obj -> value
+  kPutField,  // a -> names (field), b = cache slot; v obj ->
+
+  // Null checks the tree performs right after evaluating a receiver; the
+  // NullPointerException message is built only when one fires.
+  kNullCheck,  // peeks; a = NullCheck kind, b -> names (called method)
 
   // Arrays.
   kArrayGet,  // arr idx -> value
-  kArraySet,  // arr idx value ->
+  kArraySet,  // v arr idx ->
+  kCheckDim,  // peeks a dimension: NegativeArraySizeException if < 0
   kNewArray,  // a = dim count (dims on stack), b = leaf ValKind
 
   // Objects.
-  kNewObject,  // a -> names (class), b = argc; c = classId+1 when the
-               // resolution pass bound the class (0: dynamic lookup)
+  kNew,     // a = classId, b = argc (resolved program class)
+  kNewDyn,  // a -> names (class), b = argc (builtin-first construct)
 
   // Operators.
-  kBinary,  // a = jlang::BinOp (no &&/||)
+  kBinary,  // a = jlang::BinOp (no &&/||); b=1: compound assignment
+            // (narrow the result to the current value's kind)
+  kIncDec,  // a = BinOp kAdd/kSub: old -> old±1 narrowed to old's kind
   kNeg,
   kNot,
   kBitNot,
-  kCast,  // a = ValKind
-  kBox,   // a -> names (wrapper class)
+  kCast,    // a = ValKind: charged primitive cast
+  kToBool,  // asBool() re-boxed as a boolean (&&/|| right operand)
 
   // Control flow. a = target pc.
   kJump,
-  kJumpIfFalse,  // b=1: this branch is a compiled ternary (charge kTernary)
-  kJumpIfTrue,
-  kLoopTick,  // charge one loop iteration
-  kTryTick,   // charge a try entry
+  kJumpIfFalse,   // pops a boolean
+  kShortCircuit,  // b=0 (&&): pops; false -> push false, jump
+                  // b=1 (||): pops; true -> push true, jump
+  kSwitchSel,     // selector -> selector.asInt()
+  kCaseEq,        // a = target, b -> intPool; charges kIntAlu, on a match
+                  // pops the selector and jumps
+  kPopJump,       // a = target; pops the selector (no case matched)
 
-  // Calls. argc values on stack (receiver below them for virtual).
-  kCallStatic,       // a -> names (class), b -> names (method), c = argc
-  kCallVirtual,      // a -> names (method), b = argc
-  kCallUnqualified,  // a -> names (method), b = argc; current class
-  kPrint,            // a = newline flag, b = has-argument flag
+  // Calls. Arguments on the stack (receiver below them for virtual).
+  kClassInit,      // a = classId (static call: init precedes arguments)
+  kPrint,          // a = newline flag, b = has-argument flag; pushes null
+  kCallBuiltin,    // a -> names (class), b -> names (method), c = argc
+  kInvokeStatic,   // a = classId, b = method ordinal, c = argc
+  kInvokeSelf,     // a = method ordinal, b = argc (same class)
+  kInvokeVirtual,  // a -> names (method), b = argc, c = call-cache slot
 
-  kReturnValue,
-  kReturnVoid,
+  // Returns. The VM keeps the tree's single return register: a nested
+  // call's return value stays in it until the next return overwrites it.
+  kReturnValue,  // pops v: register = v; return
+  kReturnVoid,   // register = null; return
+  kSetRet,       // b=0: pops v into the register; b=1: register = null
+                 // (a return crossing finally blocks)
+  kRet,          // return the register (fall-off end / after finallys)
+  kEscape,       // a -> names: break/continue escaped the method body
+                 // (charges kReturn, then the tree's VmError)
+
   kPop,
   kDup,
-  kThrow,
+  kThrow,    // pops: NPE on null, charge kThrow, throw
+  kRethrow,  // a = slot: rethrow a pending exception (uncharged)
+  kThrowVm,  // a -> names: raise VmError(message)
 
-  // Slot-resolved forms, emitted when the resolution pass (jlang/resolve.hpp)
-  // bound the site at compile time. Each preserves the charge sequence and
-  // error strings of its dynamic counterpart exactly; only the name lookup
-  // is gone. The dynamic ops above remain as fallbacks for sites the
-  // resolver could not bind (builtin statics, unknown names in dead code).
-  kGetStaticSlot,       // a = global static slot (-1: resolved-missing),
-                        // b = classId, c -> names ("Class.field" error text)
-  kPutStaticSlot,       // same operands
-  kGetThisFieldSlot,    // a = field offset in this's layout
-  kPutThisFieldSlot,    // a = field offset; value on stack
-  kGetFieldCached,      // a -> names (field), b = field-cache slot
-  kPutFieldCached,      // a -> names (field), b = field-cache slot
-  kCallStaticResolved,  // a = classId, b = method ordinal, c = argc
-  kCallSelfResolved,    // a = method ordinal, b = argc, c = prepend-this flag
-  kCallVirtualCached,   // a -> names (method), b = argc, c = call-cache slot
+  // Superinstructions (compiler.cpp, fuseChunk). Charges replay in
+  // constituent order; "n2: X" names the constituent whose steps the
+  // handler takes from Instr::n2 (likewise n3).
+  kLoadLoad,            // [kLoad kLoad]  a = slot1, b = slot2; n2: load 2
+  kLoadBinary,          // [kLoad kBinary]  a = slot, b = BinOp
+  kConstBinary,         // [kConstInt kBinary]  a = intPool, b = BinOp
+  kLoadLoadBinary,      // [kLoad kLoad kBinary]  a = slot1, b = slot2,
+                        //   c = BinOp; n2: load 2
+  kLoadConstBinary,     // [kLoad kConstInt kBinary]  a = slot,
+                        //   b = intPool, c = BinOp; n2: the constant
+  kStoreLocalPop,       // [kDup kStoreLocal kPop]  a = slot
+  kIncLocal,            // [kLoad kDup kIncDec kStoreLocal kPop] or
+                        //   [kLoad kIncDec kDup kStoreLocal kPop], same
+                        //   slot: the `i++;` statement.  a = slot, b = op
+  kBinaryJumpIfFalse,   // [kBinary kJumpIfFalse]  a = target, b = BinOp
+  kLoadBinaryStore,     // [kLoad kBinary kDup kStoreLocal kPop]  a = slot,
+                        //   c = destination slot, f = BinOp
+  kBinaryStore,         // [kBinary kDup kStoreLocal kPop]  a = destination
+                        //   slot, f = BinOp
+  kLoadLoadBinaryStore, // [kLoad kLoad kBinary kDup kStoreLocal kPop] —
+                        //   the `d = s1 op s2;` statement.  a = slot1,
+                        //   b = slot2, c = destination slot, f = BinOp;
+                        //   n2: load 2
+  kLoadConstBinaryStore,  // [kLoad kConstInt kBinary kDup kStoreLocal
+                        //   kPop]  a = slot, b = intPool, c = destination
+                        //   slot, f = BinOp; n2: the constant
+  kIncLocalJump,        // kIncLocal + trailing kJump — the counted-loop
+                        //   latch.  a = target, b = slot, c = op
+  kStoreLocalPopJump,   // [kDup kStoreLocal kPop kJump]  a = target,
+                        //   b = slot
+  kCmpLoopHead,         // [kCharge(kBranch) kLoad (kLoad|kConstInt)
+                        //   kBinary kJumpIfFalse (kCharge(kLoopIter))] —
+                        //   a loop or if header.  a = target,
+                        //   b = slot1 | BinOp<<24, c = slot2 or intPool;
+                        //   f bit0 = constant rhs, bit1 = kLoopIter tick;
+                        //   n2: load 1, n3: the right operand
+};
 
-  // Superinstructions, produced only by the post-resolution peephole pass
-  // (compiler.cpp, fuseChunk). Each one executes the exact charge()/error
-  // sequence of the original instruction run it replaces and carries that
-  // run's length in Instr::n, so step() accounting is unchanged. The pass
-  // never fuses across a jump target or an exception-table boundary, and
-  // jump/handler pcs are remapped after deletion. Operand packing below
-  // uses SuperPack (compiler.cpp / bcvm.cpp); a site that does not fit the
-  // packing is simply left unfused.
-  kLoadLoad,             // [kLoad kLoad]  a = slot1, b = slot2
-  kLoadReturn,           // [kLoad kReturnValue]  a = slot
-  kThisFieldReturn,      // [kGetThisFieldSlot kReturnValue]  a = offset
-  kStorePop,             // [kDup kStore kPop]  a = slot, b = store-kind enc
-  kPutThisFieldSlotPop,  // [kDup kPutThisFieldSlot kPop]  a = offset
-  kConstBinary,          // [kConstInt kBinary]  a = intPool, b = BinOp
-  kLoadConstBinary,      // [kLoad kConstInt kBinary]  a = intPool,
-                         //   b = slot | BinOp<<20
-  kLoadLoadBinary,       // [kLoad kLoad kBinary]  a = slot1,
-                         //   b = slot2 | BinOp<<20
-  kThisFieldConstBinary, // [kGetThisFieldSlot kConstInt kBinary]
-                         //   a = intPool, b = offset | BinOp<<20
-  kThisFieldBinary,      // [kGetThisFieldSlot kBinary]  a = offset, b = BinOp
-  kBinaryCast,           // [kBinary kCast(implicit)]  a = BinOp, b = ValKind
-  kBinCastStorePop,      // [kBinary kCast(implicit) kDup kStore kPop]
-                         //   a = slot, b = BinOp | castK<<8 | storeK<<16
-  kLoadLoadBinaryReturn, // [kLoad kLoad kBinary kReturnValue]  a = slot1,
-                         //   b = slot2 | BinOp<<20
-  kLoadConstCmpJump,     // [kLoad kConstInt kBinary(cmp) kJumpIfFalse
-                         //   (kLoopTick)]  a = target, c = intPool,
-                         //   b = slot | cmp<<20 | tick<<26
-  kLoadLoadCmpJump,      // [kLoad kLoad kBinary(cmp) kJumpIfFalse
-                         //   (kLoopTick)]  a = target,
-                         //   b = slot1 | slot2<<10 | cmp<<20 | tick<<26
-  kLoadConstBinStore,    // [kLoad kConstInt kBinary (kCast impl) kDup kStore
-                         //   kPop]  a = intPool, c = castK enc (-1: none),
-                         //   b = slot1 | slot2<<10 | BinOp<<20 | storeK<<25
-  kIncDecLocalStmt,      // [kLoad kDup kConstInt kBinary (kCast impl) kStore
-                         //   kPop]  (post-inc/dec statement, same slot)
-                         //   a = intPool, c = castK enc (-1: none),
-                         //   b = slot | BinOp<<20 | storeK<<25
-  kLoadLoadConstBinary,  // [kLoad kLoad kConstInt kBinary]  a = intPool,
-                         //   b = slot1 | slot2<<10 | BinOp<<20; pushes
-                         //   slots[slot1] then (slots[slot2] <op> const)
-  kIncDecJump,           // kIncDecLocalStmt run + trailing kJump — the
-                         //   counted-loop latch.  a = intPool, c = target,
-                         //   b = slot | BinOp<<16 | storeK<<21 | castK<<25
-                         //   (castK enc 15: none)
-  kAccumConstStmt,       // [kLoad kLoad kConstInt kBinary kBinary (kCast
-                         //   impl) kDup kStore kPop] — the accumulate
-                         //   statement `s1 = s1 <op2> (s2 <op1> const)`.
-                         //   a = intPool, b = s1 | s2<<10 | op1<<20 |
-                         //   op2<<25, c = storeK | castK<<4 (enc 15: none)
-  kThisFieldAccumReturn, // [kGetThisFieldSlot kGetThisFieldSlot kBinary
-                         //   (kCast impl) kDup kPutThisFieldSlot kPop
-                         //   kGetThisFieldSlot kReturnValue] — the whole
-                         //   `f1 = f1 <op> f2; return f1;` body.
-                         //   a = off1 | off2<<12, b = BinOp | castK<<8
-                         //   (castK enc 15: none)
-  kLoadLoadCallSelf,     // [kLoad kLoad kCallSelfResolved] — a and c keep
-                         //   the call's operands (ordinal, prepend-this);
-                         //   b = argc | slot1<<10 | slot2<<20
-  kLoadLoadCallVirt,     // [kLoad kLoad kCallVirtualCached] — a and c keep
-                         //   the call's operands (names, cache slot);
-                         //   b = argc | slot1<<10 | slot2<<20
-
-  // Loop-tail pairs, produced by the second peephole pass (matchPair) over
-  // already-fused code: a loop-body tail statement merged with the
-  // kIncDecJump latch that follows it, so a steady-state counted-loop
-  // iteration dispatches once for the whole tail. Instr::n carries the
-  // combined seed run length. Packed fields are decoded as unsigned.
-  kAccumConstJump,       // [kAccumConstStmt][kIncDecJump], latch slot == s2.
-                         //   a = pool1 | pool2<<16, c = target |
-                         //   storeK1<<16 | castK1<<20 | storeKL<<24 |
-                         //   castKL<<28, b = s1 | s2<<8 | bop1<<16 |
-                         //   bop2<<21 | bopL<<26
-  kStorePopIncDecJump,   // [kStorePop][kIncDecJump].  a = pool | target<<16,
-                         //   b = slotS | slotL<<10 | bopL<<20,
-                         //   c = storeKS | storeKL<<4 | castKL<<8
-  kBinCastStoreIncDecJump, // [kBinCastStorePop][kIncDecJump].
-                         //   a = pool | target<<16, b = slotS | slotL<<8 |
-                         //   bopS<<16 | bopL<<21, c = storeKS | castKS<<4 |
-                         //   storeKL<<8 | castKL<<12
-
-  kCountedAccumLoop,     // Whole counted accumulate loop, produced by the
-                         //   third peephole pass (matchLoop):
-                         //   [kLoadConstCmpJump][kAccumConstJump] where the
-                         //   cmp tests the latch slot, its false-exit is
-                         //   the pc after the pair, and the latch jumps
-                         //   back to the cmp. Both targets are implicit
-                         //   (fall-through / self), so one dispatch runs a
-                         //   whole iteration. Instr::n covers only the cmp
-                         //   run; the handler accounts the body run on the
-                         //   taken path, preserving exact step totals.
-                         //   a = limitPool | pool1<<16, b as
-                         //   kAccumConstJump, c = pool2 | cmpOp<<10 |
-                         //   tick<<15 | storeK1<<16 | castK1<<20 |
-                         //   storeKL<<24 | castKL<<28
+/// What a kNullCheck guards (selects the tree's message).
+enum class NullCheck : std::int32_t {
+  kArrayLoad,   // "array access on null at line N"
+  kArrayStore,  // "store to null array"
+  kCall,        // "call 'm' on null at line N"
 };
 
 struct Instr {
   Op op;
+  /// Superinstruction operand byte (a BinOp or flags; see each op).
+  std::uint8_t f = 0;
+  /// Tree steps taken at the start of this instruction (see top of file).
+  std::uint16_t n = 0;
+  /// Superinstructions: steps taken at their second and third step points.
+  std::uint16_t n2 = 0;
+  std::uint16_t n3 = 0;
   std::int32_t a = 0;
   std::int32_t b = 0;
   std::int32_t c = 0;
   std::int32_t line = 0;
-  /// Number of seed instructions this instruction accounts for in step()
-  /// bookkeeping: 1 normally, the fused run length for superinstructions.
-  std::uint8_t n = 1;
 };
 
 /// JVM-style exception table entry: pcs in [start, end) covered; on a match
@@ -214,29 +216,33 @@ struct ExceptionEntry {
   std::int32_t end = 0;
   std::int32_t handler = 0;
   std::int32_t classNameIdx = -1;  // -1 = catch-all (finally path)
-  std::int32_t slot = -1;          // -1 = leave the exception on the stack
+  std::int32_t slot = -1;
 };
 
 struct Chunk {
   std::string qualifiedName;  // "Class.method" for the hook interface
   /// Interned program-wide method id (Resolution::methodNames index) —
-  /// what MethodHooks receive, so the instrumenter's balance check is an
-  /// integer compare instead of a string compare.
+  /// what MethodHooks receive.
   std::uint32_t methodId = jlang::kNoName;
   std::vector<Instr> code;
   std::vector<ExceptionEntry> handlers;
-  int numSlots = 0;
-  int numParams = 0;  // including the `this` slot for instance methods
+  int numSlots = 0;   // resolver locals + compiler temporaries
   bool isStatic = true;
+  int line = 0;  // declaration line (parameter-coercion errors)
   std::vector<jvm::ValKind> paramKinds;  // coercion at call time
-  /// Dense program-wide chunk index (< CompiledProgram::chunkCount). The VM
-  /// keys its private quickened code copies on it, so quickening one VM
-  /// never mutates the shared CompiledProgram (ParallelRunner shares it).
-  std::uint32_t chunkId = 0;
-  /// Worst-case operand-stack depth, computed by dataflow over the
-  /// pre-fusion code (a fused instruction never needs more stack than the
-  /// run it replaced). Lets the VM pre-size pooled frames exactly.
+  /// Worst-case operand-stack depth of the unfused code (a fused
+  /// instruction never needs more stack than the run it replaced).
   int maxStack = 0;
+};
+
+/// A `Class.field` static site whose class may be a builtin (probe the
+/// builtin table first) or whose field may be missing (the tree's error).
+struct StaticSite {
+  std::string className;
+  std::string fieldName;
+  std::int32_t classId = -1;
+  std::int32_t slot = -1;
+  bool builtin = false;
 };
 
 struct CompiledField {
@@ -250,35 +256,29 @@ struct CompiledClass {
   std::int32_t classId = -1;  // index into Resolution::classes
   std::vector<CompiledField> fields;
   std::unordered_map<std::string, Chunk> methods;  // includes ctor (== name)
-  Chunk clinit;      // static field initializers (may be empty)
-  Chunk initFields;  // instance field initializers (may be empty)
+  /// Static / instance field initializers. They run inline like the
+  /// tree's ensureClassInit / construct: no hooks, no kReturn charge.
+  /// Empty code means "no initializers".
+  Chunk clinit;
+  Chunk initFields;
   bool hasMain = false;
 };
 
 struct CompiledProgram {
-  std::vector<std::string> names;   // shared string/name pool
+  std::vector<std::string> names;  // shared name/message pool
   std::vector<std::int64_t> intPool;
   std::vector<double> numPool;
+  std::vector<StaticSite> staticSites;
   std::unordered_map<std::string, CompiledClass> classes;
-  /// Number of chunks across all classes; Chunk::chunkId is dense below it.
-  std::uint32_t chunkCount = 0;
   /// The resolution substrate of the source Program (set by compile()).
-  /// The slot/classId/cacheSlot operands above index its tables. Holds
-  /// pointers into the source AST, so the Program must outlive execution —
-  /// the same lifetime contract the tree interpreter has always had.
+  /// Holds pointers into the source AST, so the Program must outlive
+  /// execution — the same lifetime contract the tree interpreter has.
   std::shared_ptr<const jlang::Resolution> resolution;
 
   const CompiledClass* findClass(const std::string& name) const {
     const auto it = classes.find(name);
     return it == classes.end() ? nullptr : &it->second;
   }
-};
-
-/// Raised when a construct is outside the bytecode backend's supported set
-/// (documented limitation: break/continue/return crossing a finally).
-class CompileError : public Error {
- public:
-  using Error::Error;
 };
 
 /// Human-readable disassembly (for tests and debugging).

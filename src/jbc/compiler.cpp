@@ -1,123 +1,117 @@
 #include "jbc/compiler.hpp"
 
+#include <limits>
 #include <unordered_map>
 
+#include "energy/op.hpp"
 #include "jlang/resolve.hpp"
-#include "jvm/builtins.hpp"
 #include "jvm/ops.hpp"
 
 namespace jepo::jbc {
 
 using jlang::AssignOp;
 using jlang::BinOp;
+using jlang::CallKind;
 using jlang::ClassDecl;
 using jlang::Expr;
 using jlang::ExprKind;
 using jlang::MethodDecl;
+using jlang::NameRef;
 using jlang::Prim;
 using jlang::Program;
 using jlang::Stmt;
 using jlang::StmtKind;
 using jlang::UnOp;
-using jvm::BuiltinLibrary;
 using jvm::ValKind;
 
 namespace {
 
 class ProgramCompiler;
 
-/// Compiles one method body into a Chunk.
+/// Compiles one method body (or one class's field initializers) into a
+/// Chunk, mirroring Interpreter::execStmt / eval node by node.
 class MethodCompiler {
  public:
-  MethodCompiler(ProgramCompiler& owner, const ClassDecl& cls,
-                 bool isStatic);
+  MethodCompiler(ProgramCompiler& owner, const ClassDecl& cls);
 
   Chunk compileMethod(const MethodDecl& m);
-  /// Synthesized chunks over field initializers.
-  Chunk compileFieldInits(const ClassDecl& cls, bool staticFields);
+  Chunk compileFieldInits(bool staticFields);
 
  private:
-  // ------------------------------------------------------------- emission
+  // ------------------------------------------------------------ emission
+  /// Emit one instruction carrying every step taken since the previous
+  /// one (the tree steps on node entry, before the node's charges).
   int emit(Op op, std::int32_t a = 0, std::int32_t b = 0, std::int32_t c = 0,
            int line = 0) {
-    chunk_.code.push_back(Instr{op, a, b, c, line});
+    while (pending_ > std::numeric_limits<std::uint16_t>::max()) {
+      Instr s{Op::kStep};
+      s.n = std::numeric_limits<std::uint16_t>::max();
+      chunk_.code.push_back(s);
+      pending_ -= std::numeric_limits<std::uint16_t>::max();
+    }
+    Instr in{op};
+    in.n = static_cast<std::uint16_t>(pending_);
+    in.a = a;
+    in.b = b;
+    in.c = c;
+    in.line = line;
+    pending_ = 0;
+    chunk_.code.push_back(in);
     return static_cast<int>(chunk_.code.size() - 1);
   }
-  int here() const { return static_cast<int>(chunk_.code.size()); }
+  void charge(energy::Op op) { emit(Op::kCharge, static_cast<int>(op)); }
+  /// A jump target: pending steps belong to the code before it, never to
+  /// every path that reaches it.
+  int label() {
+    if (pending_ > 0) emit(Op::kStep);
+    return static_cast<int>(chunk_.code.size());
+  }
   void patch(int at, int target) {
     chunk_.code[static_cast<std::size_t>(at)].a = target;
   }
-
-  // --------------------------------------------------------------- scopes
-  struct LocalInfo {
-    int slot;
-    ValKind kind;
-  };
-  void pushScope() { scopes_.emplace_back(); }
-  void popScope() { scopes_.pop_back(); }
-  int declareLocal(const std::string& name, ValKind kind) {
-    const int slot = chunk_.numSlots++;
-    scopes_.back().emplace_back(name, LocalInfo{slot, kind});
-    return slot;
-  }
-  const LocalInfo* findLocal(const std::string& name) const {
-    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      for (const auto& [n, info] : *it) {
-        if (n == name) return &info;
-      }
-    }
-    return nullptr;
-  }
   int newTemp() { return chunk_.numSlots++; }
+  /// Index of `s` in the program's name pool (names, messages).
+  int name(const std::string& s);
 
   // ------------------------------------------------------------ statements
-  void compileStmt(const Stmt& s);
-  void compileBlock(const Stmt& s);
-  void compileVarDecl(const Stmt& s);
-  void compileIf(const Stmt& s);
-  void compileWhile(const Stmt& s);
-  void compileFor(const Stmt& s);
+  void stmt(const Stmt& s);
   void compileTry(const Stmt& s);
   void compileSwitch(const Stmt& s);
   void compileReturn(const Stmt& s);
+  void compileJump(const Stmt& s, bool isBreak);
+  /// Inline the finally blocks of the tries being left, innermost first,
+  /// down to (excluding) try depth `downTo`.
+  void emitFinallyCopies(std::size_t downTo);
 
   // ----------------------------------------------------------- expressions
-  void compileExpr(const Expr& e);
-  void compileAssign(const Expr& e);
-  void compileIncDec(const Expr& e);
-  void compileCall(const Expr& e);
+  void expr(const Expr& e);
   void compileVarRef(const Expr& e);
-  void compileFieldAccess(const Expr& e);
-  /// Store the top of stack into the lvalue `target`.
-  void compileStoreTo(const Expr& target);
-  void emitDefault(ValKind k, int line);
-
-  // -------------------------------------------------------------- helpers
-  bool isClassNameRef(const Expr& e) const;
-  /// The resolver's view of the class being compiled.
-  const jlang::ResolvedClass& rcls() const;
-  /// Emit a static get/put against a named class: slot-resolved when the
-  /// class is a program class, the dynamic builtin-first op otherwise.
-  void emitStaticAccess(bool store, const std::string& className,
-                        const std::string& fieldName, int line);
-  /// Emit inlined copies of the finally blocks for frames deeper than
-  /// `downToDepth` (for return/break/continue crossing try-finally).
-  void emitFinallyCopies(std::size_t downToDepth);
+  void compileCall(const Expr& e);
+  /// Store the value on top of the stack into `target` (Interpreter::
+  /// storeTo: re-evaluates the target's subexpressions).
+  void storeTo(const Expr& target);
+  int staticSite(const Expr& e, const std::string& className);
 
   ProgramCompiler& owner_;
   const ClassDecl& cls_;
-  bool isStatic_;
   Chunk chunk_;
-  std::vector<std::vector<std::pair<std::string, LocalInfo>>> scopes_;
+  int pending_ = 0;
+
+  struct TryContext {
+    const Stmt* finallyBlock = nullptr;
+    /// pc ranges of finally copies run after leaving this try (abrupt
+    /// exits from inside it): excluded from its handler ranges.
+    std::vector<std::pair<int, int>> gaps;
+  };
+  std::vector<TryContext> tries_;
 
   struct LoopContext {
     std::vector<int> breakJumps;
     std::vector<int> continueJumps;
     bool isLoop = true;         // false for switch (breakable only)
-    std::size_t finallyDepth;   // finally frames live at loop entry
+    std::size_t tryDepth = 0;   // tries_ live at loop entry
   };
   std::vector<LoopContext> loops_;
-  std::vector<const Stmt*> finallyStack_;  // enclosing finally blocks
 };
 
 class ProgramCompiler {
@@ -143,12 +137,10 @@ class ProgramCompiler {
     out_.numPool.push_back(v);
     return static_cast<int>(out_.numPool.size() - 1);
   }
-
-  const Program& program() const { return program_; }
-  bool isProgramClass(const std::string& name) const {
-    return program_.findClass(name) != nullptr;
+  int siteIdx(StaticSite site) {
+    out_.staticSites.push_back(std::move(site));
+    return static_cast<int>(out_.staticSites.size() - 1);
   }
-  /// The resolution substrate (available once run() has started).
   const jlang::Resolution& res() const { return *res_; }
 
  private:
@@ -161,589 +153,470 @@ class ProgramCompiler {
 
 // ---------------------------------------------------------------------------
 
-MethodCompiler::MethodCompiler(ProgramCompiler& owner, const ClassDecl& cls,
-                               bool isStatic)
-    : owner_(owner), cls_(cls), isStatic_(isStatic) {}
+MethodCompiler::MethodCompiler(ProgramCompiler& owner, const ClassDecl& cls)
+    : owner_(owner), cls_(cls) {}
 
-const jlang::ResolvedClass& MethodCompiler::rcls() const {
-  return owner_.res().classes[static_cast<std::size_t>(cls_.classId)];
-}
+int MethodCompiler::name(const std::string& s) { return owner_.nameIdx(s); }
 
 Chunk MethodCompiler::compileMethod(const MethodDecl& m) {
   chunk_ = Chunk{};
   chunk_.qualifiedName = cls_.name + "." + m.name;
   chunk_.methodId = m.methodId;
   chunk_.isStatic = m.isStatic;
-  pushScope();
-  if (!m.isStatic) {
-    declareLocal("this", ValKind::kRef);
-    chunk_.paramKinds.push_back(ValKind::kRef);
-  }
+  chunk_.line = m.line;
   for (const auto& p : m.params) {
-    const ValKind k = jvm::kindOfType(p.type);
-    declareLocal(p.name, k);
-    chunk_.paramKinds.push_back(k);
+    chunk_.paramKinds.push_back(jvm::kindOfType(p.type));
   }
-  chunk_.numParams = static_cast<int>(chunk_.paramKinds.size());
-  if (m.body) compileBlock(*m.body);
-  emit(Op::kReturnVoid, 0, 0, 0, m.line);
-  popScope();
+  chunk_.numSlots = m.numSlots;
+  if (m.body) stmt(*m.body);
+  emit(Op::kRet, 0, 0, 0, m.line);
   return std::move(chunk_);
 }
 
-Chunk MethodCompiler::compileFieldInits(const ClassDecl& cls,
-                                        bool staticFields) {
+Chunk MethodCompiler::compileFieldInits(bool staticFields) {
+  const jlang::ResolvedClass& rc =
+      owner_.res().classes[static_cast<std::size_t>(cls_.classId)];
   chunk_ = Chunk{};
   chunk_.qualifiedName =
-      cls.name + (staticFields ? ".<clinit>" : ".<initfields>");
-  chunk_.methodId = staticFields ? rcls().clinitId : rcls().initFieldsId;
+      cls_.name + (staticFields ? ".<clinit>" : ".<initfields>");
+  chunk_.methodId = staticFields ? rc.clinitId : rc.initFieldsId;
   chunk_.isStatic = staticFields;
-  pushScope();
-  if (!staticFields) {
-    declareLocal("this", ValKind::kRef);
-    chunk_.paramKinds.push_back(ValKind::kRef);
-  }
-  chunk_.numParams = static_cast<int>(chunk_.paramKinds.size());
-  for (const auto& f : cls.fields) {
+  chunk_.line = cls_.line;
+  bool any = false;
+  for (const auto& f : cls_.fields) {
     if (f.isStatic != staticFields || !f.init) continue;
-    compileExpr(*f.init);
+    any = true;
+    expr(*f.init);
     const ValKind k = jvm::kindOfType(f.type);
-    if (k != ValKind::kRef) emit(Op::kCast, static_cast<int>(k), 0, 0, f.line);
-    if (BuiltinLibrary::isWrapperClassName(f.type.className) &&
-        f.type.arrayDims == 0) {
-      emit(Op::kBox, owner_.nameIdx(f.type.className), 0, 0, f.line);
-    }
-    // f.slot was assigned by the resolver: the global flat-statics slot
-    // for statics, the layout offset for instance fields.
     if (staticFields) {
-      emit(Op::kPutStaticSlot, f.slot, cls.classId, 0, f.line);
+      emit(Op::kInitStatic, f.slot, static_cast<int>(k),
+           jlang::isWrapperClassName(f.type.className)
+               ? name(f.type.className)
+               : -1,
+           f.line);
     } else {
-      emit(Op::kPutThisFieldSlot, f.slot, 0, 0, f.line);
+      emit(Op::kInitField, f.slot, static_cast<int>(k), 0, f.line);
     }
   }
-  emit(Op::kReturnVoid);
-  popScope();
+  if (any) emit(Op::kRet);
   return std::move(chunk_);
-}
-
-void MethodCompiler::emitDefault(ValKind k, int line) {
-  switch (k) {
-    case ValKind::kBool: emit(Op::kConstBool, 0, 0, 0, line); break;
-    case ValKind::kFloat:
-      emit(Op::kConstFloat, owner_.numIdx(0.0), 0, 0, line);
-      break;
-    case ValKind::kDouble:
-      emit(Op::kConstDouble, owner_.numIdx(0.0), 0, 0, line);
-      break;
-    case ValKind::kChar: emit(Op::kConstChar, 0, 0, 0, line); break;
-    case ValKind::kLong:
-      emit(Op::kConstLong, owner_.intIdx(0), 0, 0, line);
-      break;
-    case ValKind::kByte:
-    case ValKind::kShort:
-    case ValKind::kInt:
-      emit(Op::kConstInt, owner_.intIdx(0), 0, 0, line);
-      break;
-    default: emit(Op::kConstNull, 0, 0, 0, line); break;
-  }
 }
 
 // ----------------------------------------------------------------- stmts
 
-void MethodCompiler::compileBlock(const Stmt& s) {
-  pushScope();
-  for (const auto& st : s.body) compileStmt(*st);
-  popScope();
-}
-
-void MethodCompiler::compileStmt(const Stmt& s) {
+void MethodCompiler::stmt(const Stmt& s) {
+  ++pending_;  // execStmt's step
   switch (s.kind) {
-    case StmtKind::kBlock: compileBlock(s); return;
-    case StmtKind::kVarDecl: compileVarDecl(s); return;
+    case StmtKind::kBlock:
+      for (const auto& st : s.body) stmt(*st);
+      return;
+
+    case StmtKind::kVarDecl: {
+      const ValKind k = jvm::kindOfType(s.declType);
+      if (s.init) {
+        expr(*s.init);
+      } else {
+        emit(Op::kPushDefault, static_cast<int>(k), 0, 0, s.line);
+      }
+      emit(Op::kDeclLocal, s.declSlot, static_cast<int>(k),
+           jlang::isWrapperClassName(s.declType.className)
+               ? name(s.declType.className)
+               : -1,
+           s.line);
+      return;
+    }
+
     case StmtKind::kExprStmt:
-      compileExpr(*s.expr);
+      expr(*s.expr);
       emit(Op::kPop, 0, 0, 0, s.line);
       return;
-    case StmtKind::kIf: compileIf(s); return;
-    case StmtKind::kWhile: compileWhile(s); return;
-    case StmtKind::kFor: compileFor(s); return;
+
+    case StmtKind::kIf: {
+      charge(energy::Op::kBranch);
+      expr(*s.cond);
+      const int jumpElse = emit(Op::kJumpIfFalse, 0, 0, 0, s.line);
+      stmt(*s.thenStmt);
+      if (s.elseStmt) {
+        const int jumpEnd = emit(Op::kJump);
+        patch(jumpElse, label());
+        stmt(*s.elseStmt);
+        patch(jumpEnd, label());
+      } else {
+        patch(jumpElse, label());
+      }
+      return;
+    }
+
+    case StmtKind::kWhile: {
+      const int head = label();
+      charge(energy::Op::kBranch);
+      expr(*s.cond);
+      const int exitJump = emit(Op::kJumpIfFalse, 0, 0, 0, s.line);
+      charge(energy::Op::kLoopIter);
+      loops_.push_back(LoopContext{{}, {}, true, tries_.size()});
+      stmt(*s.thenStmt);
+      LoopContext ctx = std::move(loops_.back());
+      loops_.pop_back();
+      for (int j : ctx.continueJumps) patch(j, head);
+      emit(Op::kJump, head);
+      const int exit = label();
+      patch(exitJump, exit);
+      for (int j : ctx.breakJumps) patch(j, exit);
+      return;
+    }
+
+    case StmtKind::kFor: {
+      for (const auto& init : s.body) stmt(*init);
+      const int head = label();
+      int exitJump = -1;
+      if (s.cond) {
+        charge(energy::Op::kBranch);
+        expr(*s.cond);
+        exitJump = emit(Op::kJumpIfFalse, 0, 0, 0, s.line);
+      }
+      charge(energy::Op::kLoopIter);
+      loops_.push_back(LoopContext{{}, {}, true, tries_.size()});
+      stmt(*s.thenStmt);
+      LoopContext ctx = std::move(loops_.back());
+      loops_.pop_back();
+      const int update = label();
+      for (int j : ctx.continueJumps) patch(j, update);
+      for (const auto& u : s.update) {
+        expr(*u);
+        emit(Op::kPop);
+      }
+      emit(Op::kJump, head);
+      const int exit = label();
+      if (exitJump >= 0) patch(exitJump, exit);
+      for (int j : ctx.breakJumps) patch(j, exit);
+      return;
+    }
+
     case StmtKind::kReturn: compileReturn(s); return;
+
     case StmtKind::kThrow:
-      compileExpr(*s.expr);
+      expr(*s.expr);
       emit(Op::kThrow, 0, 0, 0, s.line);
       return;
+
     case StmtKind::kTry: compileTry(s); return;
     case StmtKind::kSwitch: compileSwitch(s); return;
-    case StmtKind::kBreak: {
-      JEPO_REQUIRE(!loops_.empty(), "break outside loop/switch");
-      emitFinallyCopies(loops_.back().finallyDepth);
-      loops_.back().breakJumps.push_back(emit(Op::kJump, 0, 0, 0, s.line));
-      return;
-    }
-    case StmtKind::kContinue: {
-      // The nearest *loop* (switches are not continue targets).
-      LoopContext* target = nullptr;
-      for (auto it = loops_.rbegin(); it != loops_.rend(); ++it) {
-        if (it->isLoop) {
-          target = &*it;
-          break;
-        }
-      }
-      JEPO_REQUIRE(target != nullptr, "continue outside loop");
-      emitFinallyCopies(target->finallyDepth);
-      target->continueJumps.push_back(emit(Op::kJump, 0, 0, 0, s.line));
-      return;
-    }
+    case StmtKind::kBreak: compileJump(s, /*isBreak=*/true); return;
+    case StmtKind::kContinue: compileJump(s, /*isBreak=*/false); return;
   }
   throw Error("unhandled statement kind in compiler");
 }
 
-void MethodCompiler::compileVarDecl(const Stmt& s) {
-  const ValKind k = jvm::kindOfType(s.declType);
-  if (s.init) {
-    compileExpr(*s.init);
-  } else {
-    emitDefault(k, s.line);
-  }
-  const bool wrapper =
-      s.declType.arrayDims == 0 &&
-      BuiltinLibrary::isWrapperClassName(s.declType.className);
-  if (wrapper) {
-    emit(Op::kBox, owner_.nameIdx(s.declType.className), 0, 0, s.line);
-  }
-  const int slot = declareLocal(s.declName, k);
-  emit(Op::kStore, slot, static_cast<int>(k), 0, s.line);
-}
-
-void MethodCompiler::compileIf(const Stmt& s) {
-  compileExpr(*s.cond);
-  const int jumpElse = emit(Op::kJumpIfFalse, 0, 0, 0, s.line);
-  compileStmt(*s.thenStmt);
-  if (s.elseStmt) {
-    const int jumpEnd = emit(Op::kJump);
-    patch(jumpElse, here());
-    compileStmt(*s.elseStmt);
-    patch(jumpEnd, here());
-  } else {
-    patch(jumpElse, here());
-  }
-}
-
-void MethodCompiler::compileWhile(const Stmt& s) {
-  const int start = here();
-  compileExpr(*s.cond);
-  const int exitJump = emit(Op::kJumpIfFalse, 0, 0, 0, s.line);
-  emit(Op::kLoopTick);
-  loops_.push_back(LoopContext{{}, {}, true, finallyStack_.size()});
-  compileStmt(*s.thenStmt);
-  LoopContext ctx = std::move(loops_.back());
-  loops_.pop_back();
-  for (int j : ctx.continueJumps) patch(j, start);
-  emit(Op::kJump, start);
-  patch(exitJump, here());
-  for (int j : ctx.breakJumps) patch(j, here());
-}
-
-void MethodCompiler::compileFor(const Stmt& s) {
-  pushScope();
-  for (const auto& init : s.body) compileStmt(*init);
-  const int start = here();
-  int exitJump = -1;
-  if (s.cond) {
-    compileExpr(*s.cond);
-    exitJump = emit(Op::kJumpIfFalse, 0, 0, 0, s.line);
-  }
-  emit(Op::kLoopTick);
-  loops_.push_back(LoopContext{{}, {}, true, finallyStack_.size()});
-  compileStmt(*s.thenStmt);
-  LoopContext ctx = std::move(loops_.back());
-  loops_.pop_back();
-  const int updateTarget = here();
-  for (int j : ctx.continueJumps) patch(j, updateTarget);
-  for (const auto& u : s.update) {
-    compileExpr(*u);
-    emit(Op::kPop);
-  }
-  emit(Op::kJump, start);
-  if (exitJump >= 0) patch(exitJump, here());
-  for (int j : ctx.breakJumps) patch(j, here());
-  popScope();
-}
-
-void MethodCompiler::emitFinallyCopies(std::size_t downToDepth) {
-  for (std::size_t i = finallyStack_.size(); i > downToDepth; --i) {
-    const Stmt* fin = finallyStack_[i - 1];
-    if (fin != nullptr) compileStmt(*fin);
-  }
-}
-
 void MethodCompiler::compileReturn(const Stmt& s) {
-  if (finallyStack_.empty()) {
+  bool crossesFinally = false;
+  for (const auto& t : tries_) crossesFinally |= t.finallyBlock != nullptr;
+  if (!crossesFinally) {
     if (s.expr) {
-      compileExpr(*s.expr);
+      expr(*s.expr);
       emit(Op::kReturnValue, 0, 0, 0, s.line);
     } else {
       emit(Op::kReturnVoid, 0, 0, 0, s.line);
     }
     return;
   }
-  // Return crossing finally frames: stash the value, run the finallys.
+  // The tree sets its return register, unwinds through the finally
+  // blocks (an abrupt finally wins), then returns whatever the register
+  // holds — a call inside a finally overwrites it, here as there.
   if (s.expr) {
-    compileExpr(*s.expr);
-    const int temp = newTemp();
-    emit(Op::kStore, temp, -1, 0, s.line);
-    emitFinallyCopies(0);
-    emit(Op::kLoad, temp, 0, 0, s.line);
-    emit(Op::kReturnValue, 0, 0, 0, s.line);
+    expr(*s.expr);
+    emit(Op::kSetRet, 0, 0, 0, s.line);
   } else {
+    emit(Op::kSetRet, 0, 1, 0, s.line);
+  }
+  emitFinallyCopies(0);
+  emit(Op::kRet, 0, 0, 0, s.line);
+}
+
+void MethodCompiler::compileJump(const Stmt& s, bool isBreak) {
+  LoopContext* target = nullptr;
+  for (auto it = loops_.rbegin(); it != loops_.rend(); ++it) {
+    if (isBreak || it->isLoop) {
+      target = &*it;
+      break;
+    }
+  }
+  if (target == nullptr) {
+    // The flow propagates out of the method body (running finallys on
+    // the way); invoke then charges kReturn and raises the tree's error.
     emitFinallyCopies(0);
-    emit(Op::kReturnVoid, 0, 0, 0, s.line);
+    emit(Op::kEscape,
+         name("break/continue escaped method " + chunk_.qualifiedName), 0, 0,
+         s.line);
+    return;
+  }
+  const auto idx = static_cast<std::size_t>(target - loops_.data());
+  emitFinallyCopies(target->tryDepth);  // restores loops_ before returning
+  const int j = emit(Op::kJump, 0, 0, 0, s.line);
+  LoopContext& ctx = loops_[idx];
+  (isBreak ? ctx.breakJumps : ctx.continueJumps).push_back(j);
+}
+
+void MethodCompiler::emitFinallyCopies(std::size_t downTo) {
+  for (std::size_t i = tries_.size(); i > downTo; --i) {
+    const Stmt* fin = tries_[i - 1].finallyBlock;
+    if (fin == nullptr) continue;
+    // The copy runs outside tries [i-1, top) and outside the loops inside
+    // them: its own return/break/continue see only the enclosing context.
+    std::vector<TryContext> savedTries(tries_.begin() +
+                                           static_cast<std::ptrdiff_t>(i - 1),
+                                       tries_.end());
+    tries_.resize(i - 1);
+    std::vector<LoopContext> savedLoops;
+    while (!loops_.empty() && loops_.back().tryDepth >= i) {
+      savedLoops.insert(savedLoops.begin(), std::move(loops_.back()));
+      loops_.pop_back();
+    }
+    const int start = label();
+    stmt(*fin);
+    const int end = label();
+    for (auto& l : savedLoops) loops_.push_back(std::move(l));
+    for (auto& t : savedTries) {
+      t.gaps.emplace_back(start, end);
+      tries_.push_back(std::move(t));
+    }
   }
 }
 
 void MethodCompiler::compileTry(const Stmt& s) {
-  emit(Op::kTryTick, 0, 0, 0, s.line);
+  charge(energy::Op::kTryEnter);
   const Stmt* finallyBlock = s.finallyBlock.get();
-  finallyStack_.push_back(finallyBlock);
+  tries_.push_back(TryContext{finallyBlock, {}});
+  const int tryStart = label();
+  stmt(*s.tryBlock);
+  const int tryEnd = label();
+  TryContext ctx = std::move(tries_.back());
+  tries_.pop_back();
 
-  const int tryStart = here();
-  compileStmt(*s.tryBlock);
-  const int tryEnd = here();
-
-  finallyStack_.pop_back();  // handlers/finally copies run outside the frame
+  // Handler ranges: the try body minus the finally copies inlined into it.
+  std::vector<std::pair<int, int>> ranges;
+  {
+    int from = tryStart;
+    for (const auto& [gs, ge] : ctx.gaps) {
+      if (gs > from) ranges.emplace_back(from, gs);
+      from = ge;
+    }
+    if (tryEnd > from) ranges.emplace_back(from, tryEnd);
+  }
 
   std::vector<int> endJumps;
-  if (finallyBlock != nullptr) compileStmt(*finallyBlock);
+  if (finallyBlock != nullptr) stmt(*finallyBlock);
   endJumps.push_back(emit(Op::kJump));
 
-  // Catch handlers.
+  std::vector<ExceptionEntry> entries;
   for (const auto& clause : s.catches) {
-    pushScope();
-    const int slot = declareLocal(clause.varName, ValKind::kRef);
-    ExceptionEntry entry;
-    entry.start = tryStart;
-    entry.end = tryEnd;
-    entry.handler = here();
-    entry.classNameIdx = owner_.nameIdx(clause.exceptionClass);
-    entry.slot = slot;
-    chunk_.handlers.push_back(entry);
-    compileStmt(*clause.body);
-    popScope();
-    if (finallyBlock != nullptr) compileStmt(*finallyBlock);
+    const int handler = label();
+    for (const auto& [rs, re] : ranges) {
+      entries.push_back(
+          ExceptionEntry{rs, re, handler, name(clause.exceptionClass),
+                         clause.slot});
+    }
+    // An abrupt exit from the catch body still runs this try's finally;
+    // an exception thrown by it does not (the tree's catch runs outside
+    // its try/finally frame).
+    tries_.push_back(TryContext{finallyBlock, {}});
+    stmt(*clause.body);
+    tries_.pop_back();
+    if (finallyBlock != nullptr) stmt(*finallyBlock);
     endJumps.push_back(emit(Op::kJump));
   }
-  const int catchesEnd = here();
-
-  // Catch-all: run the finally, rethrow. Covers the try AND catch bodies.
   if (finallyBlock != nullptr) {
     const int temp = newTemp();
-    ExceptionEntry entry;
-    entry.start = tryStart;
-    entry.end = catchesEnd;
-    entry.handler = here();
-    entry.classNameIdx = -1;
-    entry.slot = temp;
-    chunk_.handlers.push_back(entry);
-    compileStmt(*finallyBlock);
-    emit(Op::kLoad, temp);
-    emit(Op::kThrow);
+    const int handler = label();
+    for (const auto& [rs, re] : ranges) {
+      entries.push_back(ExceptionEntry{rs, re, handler, -1, temp});
+    }
+    stmt(*finallyBlock);
+    emit(Op::kRethrow, temp);
   }
-
-  for (int j : endJumps) patch(j, here());
+  for (auto& e : entries) chunk_.handlers.push_back(e);
+  const int end = label();
+  for (int j : endJumps) patch(j, end);
 }
 
 void MethodCompiler::compileSwitch(const Stmt& s) {
-  compileExpr(*s.cond);
-  const int selSlot = newTemp();
-  emit(Op::kStore, selSlot, -1, 0, s.line);
-
-  // Dispatch: compare against each case label in order.
+  charge(energy::Op::kBranch);
+  expr(*s.cond);
+  emit(Op::kSwitchSel, 0, 0, 0, s.line);
   std::vector<int> caseJumps(s.cases.size(), -1);
   int defaultIdx = -1;
   for (std::size_t i = 0; i < s.cases.size(); ++i) {
     if (s.cases[i].isDefault) {
-      defaultIdx = static_cast<int>(i);
+      if (defaultIdx < 0) defaultIdx = static_cast<int>(i);
       continue;
     }
-    emit(Op::kLoad, selSlot);
-    emit(Op::kConstInt, owner_.intIdx(s.cases[i].value));
-    emit(Op::kBinary, static_cast<int>(BinOp::kEq));
-    caseJumps[i] = emit(Op::kJumpIfTrue, 0, 0, 0, s.line);
+    caseJumps[i] =
+        emit(Op::kCaseEq, 0, owner_.intIdx(s.cases[i].value), 0, s.line);
   }
-  const int dispatchEndJump = emit(Op::kJump);
+  const int noMatch = emit(Op::kPopJump);
 
-  loops_.push_back(LoopContext{{}, {}, false, finallyStack_.size()});
+  loops_.push_back(LoopContext{{}, {}, false, tries_.size()});
   std::vector<int> bodyStart(s.cases.size(), 0);
   for (std::size_t i = 0; i < s.cases.size(); ++i) {
-    bodyStart[i] = here();
-    for (const auto& st : s.cases[i].body) compileStmt(*st);
+    bodyStart[i] = label();
+    for (const auto& st : s.cases[i].body) stmt(*st);
   }
   LoopContext ctx = std::move(loops_.back());
   loops_.pop_back();
-  JEPO_REQUIRE(ctx.continueJumps.empty(),
-               "continue inside switch must target a loop");
-
+  const int end = label();
   for (std::size_t i = 0; i < s.cases.size(); ++i) {
     if (caseJumps[i] >= 0) patch(caseJumps[i], bodyStart[i]);
   }
-  patch(dispatchEndJump,
+  patch(noMatch,
         defaultIdx >= 0 ? bodyStart[static_cast<std::size_t>(defaultIdx)]
-                        : here());
-  for (int j : ctx.breakJumps) patch(j, here());
+                        : end);
+  for (int j : ctx.breakJumps) patch(j, end);
 }
 
 // ----------------------------------------------------------------- exprs
 
-bool MethodCompiler::isClassNameRef(const Expr& e) const {
-  if (e.kind != ExprKind::kVarRef) return false;
-  if (findLocal(e.strValue) != nullptr) return false;
-  return owner_.isProgramClass(e.strValue) ||
-         BuiltinLibrary::isBuiltinClassName(e.strValue);
+int MethodCompiler::staticSite(const Expr& e, const std::string& className) {
+  return owner_.siteIdx(StaticSite{className, e.strValue, e.classId, e.slot,
+                                   e.nameRef == NameRef::kBuiltinStatic});
 }
 
 void MethodCompiler::compileVarRef(const Expr& e) {
-  if (e.strValue == "this") {
-    emit(Op::kLoadThis, 0, 0, 0, e.line);
-    return;
-  }
-  if (const LocalInfo* local = findLocal(e.strValue)) {
-    emit(Op::kLoad, local->slot, 0, 0, e.line);
-    return;
-  }
-  // Instance field of this (f.slot = layout offset, from the resolver).
-  if (!isStatic_) {
-    for (const auto& f : cls_.fields) {
-      if (!f.isStatic && f.name == e.strValue) {
-        emit(Op::kGetThisFieldSlot, f.slot, 0, 0, e.line);
-        return;
-      }
-    }
-  }
-  // Static field of the current class (f.slot = global statics slot).
-  for (const auto& f : cls_.fields) {
-    if (f.isStatic && f.name == e.strValue) {
-      emit(Op::kGetStaticSlot, f.slot, cls_.classId, 0, e.line);
+  switch (e.nameRef) {
+    case NameRef::kThis:
+      emit(Op::kLoadThis, 0, 0, 0, e.line);
       return;
-    }
-  }
-  throw CompileError("undefined name '" + e.strValue + "' at line " +
-                     std::to_string(e.line));
-}
-
-void MethodCompiler::emitStaticAccess(bool store, const std::string& className,
-                                      const std::string& fieldName, int line) {
-  // Builtin class names keep the dynamic op: the VM probes the builtin
-  // static table first, exactly as the seed did.
-  if (!BuiltinLibrary::isBuiltinClassName(className)) {
-    const std::int32_t id = owner_.res().classIdOf(className);
-    if (id >= 0) {
-      const jlang::ResolvedClass& rc =
-          owner_.res().classes[static_cast<std::size_t>(id)];
-      const int idx = rc.staticIndexOf(fieldName);
-      const std::int32_t slot = idx >= 0 ? rc.staticSlots[idx] : -1;
-      // slot -1: the resolver proved the field missing. The VM still runs
-      // <clinit> first, then raises the seed's error using the name in c.
-      emit(store ? Op::kPutStaticSlot : Op::kGetStaticSlot, slot, id,
-           owner_.nameIdx(className + "." + fieldName), line);
+    case NameRef::kLocal:
+      emit(Op::kLoad, e.slot, 0, 0, e.line);
       return;
-    }
-  }
-  emit(store ? Op::kPutStatic : Op::kGetStatic,
-       owner_.nameIdx(className + "." + fieldName), 0, 0, line);
-}
-
-void MethodCompiler::compileFieldAccess(const Expr& e) {
-  if (isClassNameRef(*e.a)) {
-    emitStaticAccess(/*store=*/false, e.a->strValue, e.strValue, e.line);
-    return;
-  }
-  compileExpr(*e.a);
-  if (e.nameRef == jlang::NameRef::kInstanceField && e.cacheSlot >= 0) {
-    emit(Op::kGetFieldCached, owner_.nameIdx(e.strValue), e.cacheSlot, 0,
-         e.line);
-  } else {
-    emit(Op::kGetField, owner_.nameIdx(e.strValue), 0, 0, e.line);
+    case NameRef::kThisField:
+      emit(Op::kGetThisField, e.slot, 0, name(e.strValue), e.line);
+      return;
+    case NameRef::kStaticSlot:
+      emit(Op::kGetStatic, e.slot, e.classId, 0, e.line);
+      return;
+    default:
+      emit(Op::kThrowVm,
+           name("undefined name '" + e.strValue + "' at line " +
+                std::to_string(e.line)),
+           0, 0, e.line);
+      return;
   }
 }
 
-void MethodCompiler::compileStoreTo(const Expr& target) {
-  // Precondition: the value to store is on top of the stack.
+void MethodCompiler::storeTo(const Expr& target) {
   switch (target.kind) {
-    case ExprKind::kVarRef: {
-      if (const LocalInfo* local = findLocal(target.strValue)) {
-        emit(Op::kStore, local->slot, static_cast<int>(local->kind), 0,
-             target.line);
-        return;
-      }
-      if (!isStatic_) {
-        for (const auto& f : cls_.fields) {
-          if (!f.isStatic && f.name == target.strValue) {
-            emit(Op::kPutThisFieldSlot, f.slot, 0, 0, target.line);
-            return;
-          }
-        }
-      }
-      for (const auto& f : cls_.fields) {
-        if (f.isStatic && f.name == target.strValue) {
-          emit(Op::kPutStaticSlot, f.slot, cls_.classId, 0, target.line);
+    case ExprKind::kVarRef:
+      switch (target.nameRef) {
+        case NameRef::kLocal:
+          emit(Op::kStoreLocal, target.slot, 0, 0, target.line);
           return;
-        }
+        case NameRef::kThisField:
+          emit(Op::kPutThisField, target.slot, 0, name(target.strValue),
+               target.line);
+          return;
+        case NameRef::kStaticSlot:
+          emit(Op::kPutStatic, target.slot, target.classId, 0, target.line);
+          return;
+        default:
+          emit(Op::kThrowVm,
+               name("assignment to undefined name '" + target.strValue +
+                    "' at line " + std::to_string(target.line)),
+               0, 0, target.line);
+          return;
       }
-      throw CompileError("assignment to undefined name '" + target.strValue +
-                         "' at line " + std::to_string(target.line));
-    }
-    case ExprKind::kFieldAccess: {
-      if (isClassNameRef(*target.a)) {
-        emitStaticAccess(/*store=*/true, target.a->strValue, target.strValue,
-                         target.line);
+    case ExprKind::kFieldAccess:
+      if (target.nameRef == NameRef::kBuiltinStatic ||
+          target.nameRef == NameRef::kStaticSlot) {
+        // Stores never consult the builtin table.
+        if (target.nameRef == NameRef::kStaticSlot && target.slot >= 0) {
+          emit(Op::kPutStatic, target.slot, target.classId, 0, target.line);
+        } else {
+          emit(Op::kPutStaticSite, staticSite(target, target.a->strValue), 0,
+               0, target.line);
+        }
         return;
       }
-      // value on stack; need obj value for kPutField: stash value.
-      const int temp = newTemp();
-      emit(Op::kStore, temp, -1, 0, target.line);
-      compileExpr(*target.a);
-      emit(Op::kLoad, temp);
-      if (target.nameRef == jlang::NameRef::kInstanceField &&
-          target.cacheSlot >= 0) {
-        emit(Op::kPutFieldCached, owner_.nameIdx(target.strValue),
-             target.cacheSlot, 0, target.line);
-      } else {
-        emit(Op::kPutField, owner_.nameIdx(target.strValue), 0, 0,
-             target.line);
-      }
+      expr(*target.a);
+      emit(Op::kPutField, name(target.strValue), target.cacheSlot, 0,
+           target.line);
       return;
-    }
-    case ExprKind::kArrayIndex: {
-      const int temp = newTemp();
-      emit(Op::kStore, temp, -1, 0, target.line);
-      compileExpr(*target.a);
-      compileExpr(*target.b);
-      emit(Op::kLoad, temp);
+    case ExprKind::kArrayIndex:
+      expr(*target.a);
+      emit(Op::kNullCheck, static_cast<int>(NullCheck::kArrayStore), 0, 0,
+           target.line);
+      expr(*target.b);
       emit(Op::kArraySet, 0, 0, 0, target.line);
       return;
-    }
     default:
-      throw CompileError("invalid assignment target at line " +
-                         std::to_string(target.line));
+      emit(Op::kThrowVm,
+           name("invalid assignment target at line " +
+                std::to_string(target.line)),
+           0, 0, target.line);
+      return;
   }
-}
-
-void MethodCompiler::compileAssign(const Expr& e) {
-  if (e.assignOp == AssignOp::kSet) {
-    compileExpr(*e.b);
-  } else {
-    BinOp op;
-    switch (e.assignOp) {
-      case AssignOp::kAdd: op = BinOp::kAdd; break;
-      case AssignOp::kSub: op = BinOp::kSub; break;
-      case AssignOp::kMul: op = BinOp::kMul; break;
-      case AssignOp::kDiv: op = BinOp::kDiv; break;
-      case AssignOp::kMod: op = BinOp::kMod; break;
-      default: throw Error("bad compound assignment");
-    }
-    compileExpr(*e.a);  // current value
-    compileExpr(*e.b);
-    emit(Op::kBinary, static_cast<int>(op), 0, 0, e.line);
-    // Narrow compound results back to the target's kind when known.
-    if (e.a->kind == ExprKind::kVarRef) {
-      if (const LocalInfo* local = findLocal(e.a->strValue)) {
-        if (local->kind != ValKind::kRef) {
-          emit(Op::kCast, static_cast<int>(local->kind), 1 /*implicit*/, 0,
-               e.line);
-        }
-      }
-    }
-  }
-  emit(Op::kDup);  // assignment yields its value
-  compileStoreTo(*e.a);
-}
-
-void MethodCompiler::compileIncDec(const Expr& e) {
-  const bool inc = e.unOp == UnOp::kPreInc || e.unOp == UnOp::kPostInc;
-  const bool pre = e.unOp == UnOp::kPreInc || e.unOp == UnOp::kPreDec;
-  // old value
-  compileExpr(*e.a);
-  if (!pre) emit(Op::kDup);  // keep old as the expression result
-  emit(Op::kConstInt, owner_.intIdx(1), 0, 0, e.line);
-  emit(Op::kBinary, static_cast<int>(inc ? BinOp::kAdd : BinOp::kSub), 0, 0,
-       e.line);
-  // Coerce to the target's kind when known (++ on byte wraps at byte).
-  if (e.a->kind == ExprKind::kVarRef) {
-    if (const LocalInfo* local = findLocal(e.a->strValue)) {
-      if (local->kind != ValKind::kRef) {
-        emit(Op::kCast, static_cast<int>(local->kind), 1, 0, e.line);
-      }
-    }
-  }
-  if (pre) emit(Op::kDup);  // new value is the expression result
-  compileStoreTo(*e.a);
 }
 
 void MethodCompiler::compileCall(const Expr& e) {
-  // System.out.println / print.
-  if (e.a && e.a->kind == ExprKind::kFieldAccess && e.a->strValue == "out" &&
-      e.a->a && e.a->a->kind == ExprKind::kVarRef &&
-      e.a->a->strValue == "System" &&
-      (e.strValue == "println" || e.strValue == "print")) {
-    const bool hasArg = !e.args.empty();
-    if (hasArg) compileExpr(*e.args[0]);
-    emit(Op::kPrint, e.strValue == "println" ? 1 : 0, hasArg ? 1 : 0, 0,
-         e.line);
-    return;
-  }
-  // Static call.
-  if (e.a && isClassNameRef(*e.a)) {
-    for (const auto& arg : e.args) compileExpr(*arg);
-    // Program-class targets with a known method resolve to (classId,
-    // ordinal). Builtin classes and missing methods keep the dynamic op
-    // (the builtin dispatch and the seed's errors live there).
-    if (!BuiltinLibrary::isBuiltinClassName(e.a->strValue)) {
-      const std::int32_t id = owner_.res().classIdOf(e.a->strValue);
-      if (id >= 0) {
-        const jlang::ResolvedClass& rc =
-            owner_.res().classes[static_cast<std::size_t>(id)];
-        const jlang::ResolvedMethod* rm = rc.findMethod(e.strValue);
-        if (rm != nullptr) {
-          emit(Op::kCallStaticResolved, id, rc.methodOrdinal(rm->decl),
-               static_cast<int>(e.args.size()), e.line);
-          return;
-        }
+  const std::string at = " at line " + std::to_string(e.line);
+  const auto args = [&] {
+    for (const auto& a : e.args) expr(*a);
+  };
+  const int argc = static_cast<int>(e.args.size());
+  switch (e.callKind) {
+    case CallKind::kPrint:
+      if (e.args.empty()) {
+        emit(Op::kPrint, e.slot == 1 ? 1 : 0, 0, 0, e.line);
+      } else {
+        expr(*e.args.at(0));
+        emit(Op::kPrint, e.slot == 1 ? 1 : 0, 1, 0, e.line);
       }
+      return;
+    case CallKind::kBuiltinStatic:
+      args();
+      emit(Op::kCallBuiltin, name(e.a->strValue), name(e.strValue), argc,
+           e.line);
+      return;
+    case CallKind::kStaticMethod: {
+      const jlang::ResolvedClass& rc =
+          owner_.res().classes[static_cast<std::size_t>(e.classId)];
+      emit(Op::kClassInit, e.classId, 0, 0, e.line);
+      args();
+      emit(Op::kInvokeStatic, e.classId, rc.methodOrdinal(e.targetMethod),
+           argc, e.line);
+      return;
     }
-    emit(Op::kCallStatic, owner_.nameIdx(e.a->strValue),
-         owner_.nameIdx(e.strValue), static_cast<int>(e.args.size()),
-         e.line);
-    return;
-  }
-  // Unqualified call.
-  if (!e.a) {
-    for (const auto& arg : e.args) compileExpr(*arg);
-    const jlang::ResolvedMethod* rm = rcls().findMethod(e.strValue);
-    // An instance target in a static chunk keeps the dynamic op, which
-    // raises the seed's "instance method called from static context".
-    if (rm != nullptr && !(isStatic_ && !rm->decl->isStatic)) {
-      emit(Op::kCallSelfResolved, rcls().methodOrdinal(rm->decl),
-           static_cast<int>(e.args.size()), rm->decl->isStatic ? 0 : 1,
+    case CallKind::kStaticMissing:
+      emit(Op::kThrowVm,
+           name("unknown method " + e.a->strValue + "." + e.strValue + at),
+           0, 0, e.line);
+      return;
+    case CallKind::kSelfMethod: {
+      const jlang::ResolvedClass& rc =
+          owner_.res().classes[static_cast<std::size_t>(cls_.classId)];
+      args();
+      emit(Op::kInvokeSelf, rc.methodOrdinal(e.targetMethod), argc, 0,
            e.line);
       return;
     }
-    emit(Op::kCallUnqualified, owner_.nameIdx(e.strValue),
-         static_cast<int>(e.args.size()), 0, e.line);
-    return;
-  }
-  // Instance call: receiver, then args.
-  compileExpr(*e.a);
-  for (const auto& arg : e.args) compileExpr(*arg);
-  if (e.callKind == jlang::CallKind::kInstanceCached && e.cacheSlot >= 0) {
-    emit(Op::kCallVirtualCached, owner_.nameIdx(e.strValue),
-         static_cast<int>(e.args.size()), e.cacheSlot, e.line);
-  } else {
-    emit(Op::kCallVirtual, owner_.nameIdx(e.strValue),
-         static_cast<int>(e.args.size()), 0, e.line);
+    case CallKind::kSelfMissing:
+      emit(Op::kThrowVm, name("unknown method " + e.strValue + at), 0, 0,
+           e.line);
+      return;
+    case CallKind::kInstanceCached:
+      expr(*e.a);
+      emit(Op::kNullCheck, static_cast<int>(NullCheck::kCall),
+           name(e.strValue), 0, e.line);
+      args();
+      emit(Op::kInvokeVirtual, name(e.strValue), argc, e.cacheSlot, e.line);
+      return;
+    default:
+      emit(Op::kThrowVm, name("unresolved call '" + e.strValue + "'" + at),
+           0, 0, e.line);
+      return;
   }
 }
 
-void MethodCompiler::compileExpr(const Expr& e) {
+void MethodCompiler::expr(const Expr& e) {
+  ++pending_;  // eval's step
   switch (e.kind) {
     case ExprKind::kIntLit:
       emit(Op::kConstInt, owner_.intIdx(e.intValue), 0, 0, e.line);
@@ -763,7 +636,7 @@ void MethodCompiler::compileExpr(const Expr& e) {
       emit(Op::kConstChar, static_cast<int>(e.intValue), 0, 0, e.line);
       return;
     case ExprKind::kStringLit:
-      emit(Op::kConstStr, owner_.nameIdx(e.strValue), 0, 0, e.line);
+      emit(Op::kConstStr, e.strId, 0, 0, e.line);
       return;
     case ExprKind::kBoolLit:
       emit(Op::kConstBool, e.intValue != 0 ? 1 : 0, 0, 0, e.line);
@@ -772,485 +645,376 @@ void MethodCompiler::compileExpr(const Expr& e) {
       emit(Op::kConstNull, 0, 0, 0, e.line);
       return;
     case ExprKind::kVarRef: compileVarRef(e); return;
-    case ExprKind::kFieldAccess: compileFieldAccess(e); return;
+    case ExprKind::kFieldAccess:
+      if (e.nameRef == NameRef::kBuiltinStatic ||
+          e.nameRef == NameRef::kStaticSlot) {
+        if (e.nameRef == NameRef::kStaticSlot && e.slot >= 0) {
+          emit(Op::kGetStatic, e.slot, e.classId, 0, e.line);
+        } else {
+          emit(Op::kGetStaticSite, staticSite(e, e.a->strValue), 0, 0,
+               e.line);
+        }
+        return;
+      }
+      expr(*e.a);
+      emit(Op::kGetField, name(e.strValue), e.cacheSlot, 0, e.line);
+      return;
     case ExprKind::kArrayIndex:
-      compileExpr(*e.a);
-      compileExpr(*e.b);
+      expr(*e.a);
+      emit(Op::kNullCheck, static_cast<int>(NullCheck::kArrayLoad), 0, 0,
+           e.line);
+      expr(*e.b);
       emit(Op::kArrayGet, 0, 0, 0, e.line);
       return;
     case ExprKind::kBinary: {
       if (e.binOp == BinOp::kAndAnd || e.binOp == BinOp::kOrOr) {
-        // a && b  ->  a ? b : false ;  a || b  ->  a ? true : b
-        compileExpr(*e.a);
-        if (e.binOp == BinOp::kAndAnd) {
-          const int jumpFalse = emit(Op::kJumpIfFalse, 0, 0, 0, e.line);
-          compileExpr(*e.b);
-          const int jumpEnd = emit(Op::kJump);
-          patch(jumpFalse, here());
-          emit(Op::kConstBool, 0);
-          patch(jumpEnd, here());
-        } else {
-          const int jumpTrue = emit(Op::kJumpIfTrue, 0, 0, 0, e.line);
-          compileExpr(*e.b);
-          const int jumpEnd = emit(Op::kJump);
-          patch(jumpTrue, here());
-          emit(Op::kConstBool, 1);
-          patch(jumpEnd, here());
-        }
+        charge(energy::Op::kBranch);
+        expr(*e.a);
+        const int j = emit(Op::kShortCircuit, 0,
+                           e.binOp == BinOp::kOrOr ? 1 : 0, 0, e.line);
+        expr(*e.b);
+        emit(Op::kToBool, 0, 0, 0, e.line);
+        patch(j, label());
         return;
       }
-      compileExpr(*e.a);
-      compileExpr(*e.b);
+      expr(*e.a);
+      expr(*e.b);
       emit(Op::kBinary, static_cast<int>(e.binOp), 0, 0, e.line);
       return;
     }
     case ExprKind::kUnary:
       switch (e.unOp) {
         case UnOp::kNeg:
-          compileExpr(*e.a);
+          expr(*e.a);
           emit(Op::kNeg, 0, 0, 0, e.line);
           return;
         case UnOp::kNot:
-          compileExpr(*e.a);
+          expr(*e.a);
           emit(Op::kNot, 0, 0, 0, e.line);
           return;
         case UnOp::kBitNot:
-          compileExpr(*e.a);
+          expr(*e.a);
           emit(Op::kBitNot, 0, 0, 0, e.line);
           return;
-        default:
-          compileIncDec(e);
+        default: {
+          const bool inc =
+              e.unOp == UnOp::kPreInc || e.unOp == UnOp::kPostInc;
+          const bool pre =
+              e.unOp == UnOp::kPreInc || e.unOp == UnOp::kPreDec;
+          expr(*e.a);
+          if (!pre) emit(Op::kDup);
+          emit(Op::kIncDec, static_cast<int>(inc ? BinOp::kAdd : BinOp::kSub),
+               0, 0, e.line);
+          if (pre) emit(Op::kDup);
+          storeTo(*e.a);
           return;
+        }
       }
-    case ExprKind::kAssign: compileAssign(e); return;
+    case ExprKind::kAssign: {
+      if (e.assignOp == AssignOp::kSet) {
+        expr(*e.b);
+      } else {
+        BinOp op;
+        switch (e.assignOp) {
+          case AssignOp::kAdd: op = BinOp::kAdd; break;
+          case AssignOp::kSub: op = BinOp::kSub; break;
+          case AssignOp::kMul: op = BinOp::kMul; break;
+          case AssignOp::kDiv: op = BinOp::kDiv; break;
+          case AssignOp::kMod: op = BinOp::kMod; break;
+          default: throw Error("bad compound assignment");
+        }
+        expr(*e.a);
+        expr(*e.b);
+        emit(Op::kBinary, static_cast<int>(op), 1, 0, e.line);
+      }
+      emit(Op::kDup);  // the assignment's value, before store coercion
+      storeTo(*e.a);
+      return;
+    }
     case ExprKind::kTernary: {
-      compileExpr(*e.a);
-      const int jumpElse =
-          emit(Op::kJumpIfFalse, 0, /*ternary=*/1, 0, e.line);
-      compileExpr(*e.b);
+      charge(energy::Op::kTernary);
+      expr(*e.a);
+      const int jumpElse = emit(Op::kJumpIfFalse, 0, 0, 0, e.line);
+      expr(*e.b);
       const int jumpEnd = emit(Op::kJump);
-      patch(jumpElse, here());
-      compileExpr(*e.c);
-      patch(jumpEnd, here());
+      patch(jumpElse, label());
+      expr(*e.c);
+      patch(jumpEnd, label());
       return;
     }
     case ExprKind::kCall: compileCall(e); return;
-    case ExprKind::kNew: {
-      for (const auto& arg : e.args) compileExpr(*arg);
-      // c = classId+1 when the resolver bound the class (program class,
-      // not shadowed by a builtin) — the VM skips the builtin probe.
-      const bool bound =
-          e.callKind == jlang::CallKind::kConstruct && e.classId >= 0;
-      emit(Op::kNewObject, owner_.nameIdx(e.strValue),
-           static_cast<int>(e.args.size()), bound ? e.classId + 1 : 0,
-           e.line);
-      return;
-    }
-    case ExprKind::kNewArray: {
-      for (const auto& dim : e.args) compileExpr(*dim);
-      jlang::TypeRef leaf = e.type;
-      leaf.arrayDims = 0;
-      ValKind leafKind = jvm::kindOfType(leaf);
-      if (e.type.arrayDims > 0) leafKind = ValKind::kRef;
-      emit(Op::kNewArray, static_cast<int>(e.args.size()),
-           static_cast<int>(leafKind), 0, e.line);
-      return;
-    }
-    case ExprKind::kCast: {
-      compileExpr(*e.a);
-      const ValKind k = jvm::kindOfType(e.type);
-      if (e.type.prim != Prim::kClass && e.type.arrayDims == 0) {
-        emit(Op::kCast, static_cast<int>(k), 0, 0, e.line);
+    case ExprKind::kNew:
+      for (const auto& a : e.args) expr(*a);
+      if (e.callKind == CallKind::kConstruct) {
+        emit(Op::kNew, e.classId, static_cast<int>(e.args.size()), 0, e.line);
+      } else {
+        emit(Op::kNewDyn, name(e.strValue), static_cast<int>(e.args.size()),
+             0, e.line);
       }
       return;
+    case ExprKind::kNewArray: {
+      for (const auto& d : e.args) {
+        expr(*d);
+        emit(Op::kCheckDim, 0, 0, 0, e.line);
+      }
+      const ValKind leaf =
+          e.type.arrayDims == 0 ? jvm::kindOfType(e.type) : ValKind::kRef;
+      emit(Op::kNewArray, static_cast<int>(e.args.size()),
+           static_cast<int>(leaf), 0, e.line);
+      return;
     }
+    case ExprKind::kCast:
+      expr(*e.a);
+      if (e.type.prim != Prim::kClass && e.type.arrayDims == 0) {
+        emit(Op::kCast, static_cast<int>(jvm::kindOfType(e.type)), 0, 0,
+             e.line);
+      }
+      return;
   }
   throw Error("unhandled expression kind in compiler");
 }
 
 // ------------------------------------------------------------ post passes
 //
-// Everything below runs on finished chunks: a max-stack dataflow (always)
-// and the superinstruction peephole (unless disabled via CompileOptions).
+// Everything below runs on finished chunks: a max-stack dataflow over the
+// unfused code (always) and the superinstruction peephole (unless
+// disabled via CompileOptions).
 
-/// Operand-stack effect of one instruction (pushes - pops). Terminators
-/// (returns/throw) end propagation, so their effect is irrelevant.
+bool isJump(Op op) {
+  switch (op) {
+    case Op::kJump: case Op::kJumpIfFalse: case Op::kShortCircuit:
+    case Op::kCaseEq: case Op::kPopJump: case Op::kBinaryJumpIfFalse:
+    case Op::kCmpLoopHead: case Op::kIncLocalJump:
+    case Op::kStoreLocalPopJump:
+      return true;
+    default:
+      return false;
+  }
+}
+
+bool isTerminator(Op op) {
+  switch (op) {
+    case Op::kJump: case Op::kPopJump: case Op::kReturnValue:
+    case Op::kReturnVoid: case Op::kRet: case Op::kEscape: case Op::kThrow:
+    case Op::kRethrow: case Op::kThrowVm:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// Operand-stack effect on the fall-through edge (pushes - pops).
 int stackEffect(const Instr& in) {
   switch (in.op) {
     case Op::kConstInt: case Op::kConstLong: case Op::kConstFloat:
     case Op::kConstDouble: case Op::kConstStr: case Op::kConstChar:
-    case Op::kConstBool: case Op::kConstNull:
-    case Op::kLoad: case Op::kLoadThis:
-    case Op::kGetThisField: case Op::kGetStatic:
-    case Op::kGetThisFieldSlot: case Op::kGetStaticSlot:
+    case Op::kConstBool: case Op::kConstNull: case Op::kPushDefault:
+    case Op::kPushBool: case Op::kLoad: case Op::kLoadThis:
+    case Op::kGetThisField: case Op::kGetStatic: case Op::kGetStaticSite:
     case Op::kDup:
       return 1;
-    case Op::kStore: case Op::kPutThisField: case Op::kPutStatic:
-    case Op::kPutThisFieldSlot: case Op::kPutStaticSlot:
-    case Op::kJumpIfFalse: case Op::kJumpIfTrue:
-    case Op::kBinary: case Op::kArrayGet: case Op::kPop:
-    case Op::kReturnValue: case Op::kThrow:
+    case Op::kStoreLocal: case Op::kDeclLocal: case Op::kPutThisField:
+    case Op::kPutStatic: case Op::kPutStaticSite: case Op::kInitStatic:
+    case Op::kInitField: case Op::kPop: case Op::kJumpIfFalse:
+    case Op::kBinary: case Op::kArrayGet: case Op::kShortCircuit:
+    case Op::kReturnValue: case Op::kThrow: case Op::kPopJump:
       return -1;
-    case Op::kPutField: case Op::kPutFieldCached:
+    case Op::kSetRet:
+      return in.b != 0 ? 0 : -1;
+    case Op::kPutField:
       return -2;
     case Op::kArraySet:
       return -3;
     case Op::kNewArray:
       return 1 - in.a;
-    case Op::kNewObject:
+    case Op::kNew: case Op::kNewDyn: case Op::kInvokeSelf:
       return 1 - in.b;
-    case Op::kCallStatic: case Op::kCallStaticResolved:
+    case Op::kCallBuiltin: case Op::kInvokeStatic:
       return 1 - in.c;
-    case Op::kCallUnqualified: case Op::kCallSelfResolved:
-      return 1 - in.b;  // argc in b; `this` comes from slot 0, not the stack
-    case Op::kCallVirtual: case Op::kCallVirtualCached:
+    case Op::kInvokeVirtual:
       return -in.b;  // argc args + receiver popped, result pushed
     case Op::kPrint:
       return in.b != 0 ? 0 : 1;  // pops the argument if present, pushes null
     default:
-      // kGetField/kGetFieldCached (obj -> value), unary ops, kCast, kBox,
-      // kJump, kLoopTick, kTryTick, kReturnVoid: net zero. The peephole
-      // runs after this pass, so superinstructions never appear here.
       return 0;
   }
 }
 
-bool isTerminator(Op op) {
-  return op == Op::kReturnValue || op == Op::kReturnVoid ||
-         op == Op::kThrow || op == Op::kJump;
+/// Operand-stack effect on the taken edge of a jump.
+int jumpEffect(const Instr& in) {
+  switch (in.op) {
+    case Op::kJumpIfFalse: case Op::kCaseEq: case Op::kPopJump:
+      return -1;
+    default:  // kJump; kShortCircuit pops its operand and pushes a result
+      return 0;
+  }
 }
 
-/// Worklist dataflow computing the worst-case operand-stack depth. Runs on
-/// pre-fusion code; fused instructions never exceed the depth of the runs
-/// they replace (their handlers keep intermediates in C locals).
 void computeMaxStack(Chunk& chunk) {
   const auto size = chunk.code.size();
   std::vector<int> depthAt(size, -1);
   std::vector<std::size_t> work;
   int maxDepth = 0;
   const auto enqueue = [&](std::size_t pc, int depth) {
-    if (pc >= size) return;
-    if (depthAt[pc] >= depth) return;
+    if (pc >= size || depthAt[pc] >= depth) return;
     depthAt[pc] = depth;
     if (depth > maxDepth) maxDepth = depth;
     work.push_back(pc);
   };
   if (size > 0) enqueue(0, 0);
+  // Handler entry: stack cleared, the exception stored to a slot.
   for (const auto& h : chunk.handlers) {
-    // Handler entry: stack cleared, exception either stored to a slot or
-    // left as the single stack entry.
-    enqueue(static_cast<std::size_t>(h.handler), h.slot >= 0 ? 0 : 1);
+    enqueue(static_cast<std::size_t>(h.handler), 0);
   }
   while (!work.empty()) {
     const std::size_t pc = work.back();
     work.pop_back();
     const Instr& in = chunk.code[pc];
-    const int after = depthAt[pc] + stackEffect(in);
+    const int before = depthAt[pc];
+    const int after = before + stackEffect(in);
     if (after > maxDepth) maxDepth = after;
-    if (in.op == Op::kJump || in.op == Op::kJumpIfFalse ||
-        in.op == Op::kJumpIfTrue) {
-      enqueue(static_cast<std::size_t>(in.a), after);
+    if (isJump(in.op)) {
+      enqueue(static_cast<std::size_t>(in.a), before + jumpEffect(in));
     }
     if (!isTerminator(in.op)) enqueue(pc + 1, after);
   }
   chunk.maxStack = maxDepth;
 }
 
-constexpr std::int32_t kNoKindEnc = 15;  // 4-bit "no store coercion" marker
+// ------------------------------------------------------------------ fusion
 
-bool isCmp(BinOp op) {
-  return op == BinOp::kLt || op == BinOp::kGt || op == BinOp::kLe ||
-         op == BinOp::kGe || op == BinOp::kEq || op == BinOp::kNe;
+bool isCharge(const Instr& in, energy::Op op) {
+  return in.op == Op::kCharge && in.a == static_cast<int>(op);
 }
 
-/// Try to fuse the instruction run starting at `pc` into one
-/// superinstruction. Interior positions must not be jump targets or
-/// exception-table boundaries (`barrier`); operands must fit the packing
-/// documented in code.hpp. Returns the run length (1 = no fusion).
+/// Try to fuse the run starting at `pc`; returns its length (1 = none).
+/// A candidate run fuses only when no interior pc is a barrier (jump
+/// target or handler boundary) and every constituent that takes steps is
+/// the first one or one of the op's step points (Instr::n2 / n3).
 std::size_t matchSuper(const std::vector<Instr>& c, std::size_t pc,
                        const std::vector<char>& barrier, Instr* out) {
-  const std::size_t size = c.size();
-  // A fusion candidate of length k needs pc+k <= size and no barrier on
-  // any interior pc (the run's first pc may itself be a target).
-  const auto runOk = [&](std::size_t k) {
-    if (pc + k > size) return false;
-    for (std::size_t i = 1; i < k; ++i) {
+  const auto op = [&](std::size_t i) {
+    return pc + i < c.size() ? c[pc + i].op : Op::kStep;
+  };
+  const auto in = [&](std::size_t i) -> const Instr& { return c[pc + i]; };
+  // Step points p2/p3 are constituent offsets (0 = none).
+  const auto fusable = [&](std::size_t len, std::size_t p2 = 0,
+                           std::size_t p3 = 0) {
+    if (pc + len > c.size()) return false;
+    for (std::size_t i = 1; i < len; ++i) {
       if (barrier[pc + i]) return false;
+      if (in(i).n > 0 && i != p2 && i != p3) return false;
     }
     return true;
   };
-  const auto op = [&](std::size_t i) { return c[pc + i].op; };
-  const auto in = [&](std::size_t i) -> const Instr& { return c[pc + i]; };
-  const auto implicitCast = [&](std::size_t i) {
-    return op(i) == Op::kCast && in(i).b == 1;
-  };
-  const auto storeEnc = [](const Instr& st) {
-    return st.b < 0 ? kNoKindEnc : st.b;
-  };
   const auto make = [&](Op sop, std::int32_t a, std::int32_t b,
-                        std::int32_t cOperand, std::size_t len) {
-    *out = Instr{sop, a, b, cOperand, in(0).line};
-    out->n = static_cast<std::uint8_t>(len);
+                        std::int32_t cc, std::size_t len,
+                        std::size_t lineFrom, std::size_t p2 = 0,
+                        std::size_t p3 = 0) {
+    *out = Instr{sop};
+    out->n = in(0).n;
+    out->n2 = p2 != 0 ? in(p2).n : 0;
+    out->n3 = p3 != 0 ? in(p3).n : 0;
+    out->a = a;
+    out->b = b;
+    out->c = cc;
+    out->line = in(lineFrom).line;
+    return len;
+  };
+  // [kDup kStoreLocal kPop] at offset i: an assignment statement's store.
+  const auto isStoreTail = [&](std::size_t i) {
+    return op(i) == Op::kDup && op(i + 1) == Op::kStoreLocal &&
+           op(i + 2) == Op::kPop;
+  };
+  const auto withOp = [&](std::size_t len, std::int32_t binOp) {
+    out->f = static_cast<std::uint8_t>(binOp);
     return len;
   };
 
   switch (op(0)) {
-    case Op::kLoad: {
-      const std::int32_t s1 = in(0).a;
-      // [kLoad kDup kConstInt kBinary (kCast) kStore kPop (kJump)] —
-      // post-inc/dec statement on one local; with the trailing kJump it is
-      // the canonical counted-loop latch (kIncDecJump).
-      for (std::size_t len : {std::size_t{7}, std::size_t{6}}) {
-        const bool cast = len == 7;
-        if (!runOk(len)) continue;
-        std::size_t i = 1;
-        if (op(i) != Op::kDup) break;
-        ++i;
-        if (op(i) != Op::kConstInt) break;
-        const std::int32_t pool = in(i).a;
-        ++i;
-        if (op(i) != Op::kBinary) break;
-        const std::int32_t bop = in(i).a;
-        ++i;
-        std::int32_t castEnc = -1;
-        if (cast) {
-          if (!implicitCast(i)) continue;
-          castEnc = in(i).a;
-          ++i;
+    case Op::kCharge: {
+      // [kCharge(kBranch) kLoad (kLoad|kConstInt) kBinary kJumpIfFalse
+      //  (kCharge(kLoopIter))] — a loop or if header.
+      if (!isCharge(in(0), energy::Op::kBranch) || op(1) != Op::kLoad ||
+          (op(2) != Op::kLoad && op(2) != Op::kConstInt) ||
+          op(3) != Op::kBinary || in(3).b != 0 ||
+          op(4) != Op::kJumpIfFalse || in(1).a >= (1 << 24)) {
+        break;
+      }
+      const bool tick =
+          fusable(6, 1, 2) && isCharge(in(5), energy::Op::kLoopIter);
+      if (!tick && !fusable(5, 1, 2)) break;
+      const std::size_t len = tick ? 6 : 5;
+      make(Op::kCmpLoopHead, in(4).a, in(1).a | in(3).a << 24, in(2).a, len,
+           3, 1, 2);
+      out->f = static_cast<std::uint8_t>((op(2) == Op::kConstInt ? 1 : 0) |
+                                         (tick ? 2 : 0));
+      return len;
+    }
+    case Op::kLoad:
+      // [kLoad s kDup kIncDec kStoreLocal s kPop (kJump)] / [kLoad s kIncDec
+      // kDup kStoreLocal s kPop (kJump)]: the `i++;` / `++i;` statement,
+      // with the jump: the counted-loop latch.
+      if (((op(1) == Op::kDup && op(2) == Op::kIncDec) ||
+           (op(1) == Op::kIncDec && op(2) == Op::kDup)) &&
+          op(3) == Op::kStoreLocal && in(3).a == in(0).a &&
+          op(4) == Op::kPop && fusable(5)) {
+        const std::int32_t incOp =
+            op(1) == Op::kIncDec ? in(1).a : in(2).a;
+        const std::size_t lineFrom = op(1) == Op::kIncDec ? 1 : 2;
+        if (op(5) == Op::kJump && fusable(6)) {
+          return make(Op::kIncLocalJump, in(5).a, in(0).a, incOp, 6,
+                      lineFrom);
         }
-        if (op(i) != Op::kStore || in(i).a != s1) break;
-        const std::int32_t se = storeEnc(in(i));
-        ++i;
-        if (op(i) != Op::kPop) break;
-        if (s1 >= (1 << 20) || bop >= 32 || se >= 16) break;
-        // The latch form packs the cast kind into b to free c for the jump
-        // target; its tighter slot field falls back to the plain form (and
-        // a bare kJump) for slot numbers past 2^16.
-        if (runOk(len + 1) && op(len) == Op::kJump && s1 < (1 << 16)) {
-          const std::int32_t castE = castEnc < 0 ? kNoKindEnc : castEnc;
-          return make(Op::kIncDecJump, pool,
-                      s1 | bop << 16 | se << 21 | castE << 25, in(len).a,
-                      len + 1);
+        return make(Op::kIncLocal, in(0).a, incOp, 0, 5, lineFrom);
+      }
+      if ((op(1) == Op::kLoad || op(1) == Op::kConstInt) &&
+          op(2) == Op::kBinary && in(2).b == 0) {
+        const bool constRhs = op(1) == Op::kConstInt;
+        if (isStoreTail(3) && fusable(6, 1)) {
+          make(constRhs ? Op::kLoadConstBinaryStore : Op::kLoadLoadBinaryStore,
+               in(0).a, in(1).a, in(4).a, 6, 2, 1);
+          return withOp(6, in(2).a);
         }
-        return make(Op::kIncDecLocalStmt, pool, s1 | bop << 20 | se << 25,
-                    castEnc, len);
-      }
-      // [kLoad kConstInt kBinary (kCast) kDup kStore kPop] — local
-      // assignment statement `s2 = s1 <op> const`.
-      for (std::size_t len : {std::size_t{7}, std::size_t{6}}) {
-        const bool cast = len == 7;
-        if (!runOk(len)) continue;
-        std::size_t i = 1;
-        if (op(i) != Op::kConstInt) break;
-        const std::int32_t pool = in(i).a;
-        ++i;
-        if (op(i) != Op::kBinary) break;
-        const std::int32_t bop = in(i).a;
-        ++i;
-        std::int32_t castEnc = -1;
-        if (cast) {
-          if (!implicitCast(i)) continue;
-          castEnc = in(i).a;
-          ++i;
+        if (fusable(3, 1)) {
+          return make(constRhs ? Op::kLoadConstBinary : Op::kLoadLoadBinary,
+                      in(0).a, in(1).a, in(2).a, 3, 2, 1);
         }
-        if (op(i) != Op::kDup) break;
-        ++i;
-        if (op(i) != Op::kStore) break;
-        const std::int32_t s2 = in(i).a;
-        const std::int32_t se = storeEnc(in(i));
-        ++i;
-        if (op(i) != Op::kPop) break;
-        if (s1 >= (1 << 10) || s2 >= (1 << 10) || bop >= 32 || se >= 16) break;
-        return make(Op::kLoadConstBinStore, pool,
-                    s1 | s2 << 10 | bop << 20 | se << 25, castEnc, len);
       }
-      // [kLoad kConstInt kBinary(cmp) kJumpIfFalse (kLoopTick)] — the
-      // canonical counted-loop header. Plain branch only (b=0): a ternary
-      // branch charges kTernary and is left unfused.
-      if (runOk(4) && op(1) == Op::kConstInt && op(2) == Op::kBinary &&
-          isCmp(static_cast<BinOp>(in(2).a)) && op(3) == Op::kJumpIfFalse &&
-          in(3).b == 0 && s1 < (1 << 20)) {
-        const bool tick = runOk(5) && op(4) == Op::kLoopTick;
-        const std::size_t len =
-            make(Op::kLoadConstCmpJump, in(3).a,
-                 s1 | in(2).a << 20 | (tick ? 1 : 0) << 26, in(1).a,
-                 tick ? 5 : 4);
-        // n covers only the unconditional 4-instruction prefix: the fused
-        // kLoopTick executes (and is stepped by the handler) solely on
-        // fall-through, while the taken exit runs 4 seed instructions.
-        out->n = 4;
-        return len;
-      }
-      if (runOk(4) && op(1) == Op::kLoad && op(2) == Op::kBinary &&
-          isCmp(static_cast<BinOp>(in(2).a)) && op(3) == Op::kJumpIfFalse &&
-          in(3).b == 0 && s1 < (1 << 10) && in(1).a < (1 << 10)) {
-        const bool tick = runOk(5) && op(4) == Op::kLoopTick;
-        const std::size_t len =
-            make(Op::kLoadLoadCmpJump, in(3).a,
-                 s1 | in(1).a << 10 | in(2).a << 20 | (tick ? 1 : 0) << 26,
-                 0, tick ? 5 : 4);
-        out->n = 4;  // tick stepped on fall-through only; see above
-        return len;
-      }
-      // [kLoad kLoad kBinary kReturnValue] — e.g. `return a + b;`.
-      if (runOk(4) && op(1) == Op::kLoad && op(2) == Op::kBinary &&
-          op(3) == Op::kReturnValue && in(1).a < (1 << 20)) {
-        return make(Op::kLoadLoadBinaryReturn, s1,
-                    in(1).a | in(2).a << 20, 0, 4);
-      }
-      // [kLoad kLoad kConstInt kBinary kBinary (kCast) kDup kStore kPop] —
-      // the accumulate statement `s1 = s1 <op2> (s2 <op1> const)`, e.g.
-      // `acc = acc + (i & 7);`. Must precede the 4-long prefix match below.
-      for (std::size_t len : {std::size_t{9}, std::size_t{8}}) {
-        const bool cast = len == 9;
-        if (!runOk(len)) continue;
-        std::size_t i = 1;
-        if (op(i) != Op::kLoad) break;
-        const std::int32_t s2 = in(i).a;
-        ++i;
-        if (op(i) != Op::kConstInt) break;
-        const std::int32_t pool = in(i).a;
-        ++i;
-        if (op(i) != Op::kBinary) break;
-        const std::int32_t bop1 = in(i).a;
-        ++i;
-        if (op(i) != Op::kBinary) break;
-        const std::int32_t bop2 = in(i).a;
-        ++i;
-        std::int32_t castEnc = -1;
-        if (cast) {
-          if (!implicitCast(i)) continue;
-          castEnc = in(i).a;
-          ++i;
+      if (op(1) == Op::kBinary && in(1).b == 0) {
+        if (isStoreTail(2) && fusable(5)) {
+          make(Op::kLoadBinaryStore, in(0).a, 0, in(3).a, 5, 1);
+          return withOp(5, in(1).a);
         }
-        if (op(i) != Op::kDup) break;
-        ++i;
-        if (op(i) != Op::kStore || in(i).a != s1) break;
-        const std::int32_t se = storeEnc(in(i));
-        ++i;
-        if (op(i) != Op::kPop) break;
-        if (s1 >= (1 << 10) || s2 >= (1 << 10) || bop1 >= 32 ||
-            bop2 >= 32 || se >= 16 || castEnc >= 16) {
-          break;
-        }
-        const std::int32_t castE = castEnc < 0 ? kNoKindEnc : castEnc;
-        return make(Op::kAccumConstStmt, pool,
-                    s1 | s2 << 10 | bop1 << 20 | bop2 << 25,
-                    se | castE << 4, len);
+        if (fusable(2)) return make(Op::kLoadBinary, in(0).a, in(1).a, 0, 2, 1);
       }
-      // [kLoad kLoad kConstInt kBinary] — e.g. `a <op1> (b <op2> const)`
-      // operand shapes; the compare-and-branch variants above match first.
-      if (runOk(4) && op(1) == Op::kLoad && op(2) == Op::kConstInt &&
-          op(3) == Op::kBinary && s1 < (1 << 10) && in(1).a < (1 << 10)) {
-        return make(Op::kLoadLoadConstBinary, in(2).a,
-                    s1 | in(1).a << 10 | in(3).a << 20, 0, 4);
-      }
-      // [kLoad kLoad kCall*] — argument loads feeding a resolved call
-      // site. The call's own operands ride through unchanged in a and c;
-      // argc (always < 1024) shares b with the two slots.
-      if (runOk(3) && op(1) == Op::kLoad &&
-          (op(2) == Op::kCallSelfResolved ||
-           op(2) == Op::kCallVirtualCached) &&
-          s1 < (1 << 10) && in(1).a < (1 << 10) && in(2).b < (1 << 10)) {
-        return make(op(2) == Op::kCallSelfResolved ? Op::kLoadLoadCallSelf
-                                                   : Op::kLoadLoadCallVirt,
-                    in(2).a, in(2).b | s1 << 10 | in(1).a << 20, in(2).c, 3);
-      }
-      if (runOk(3) && op(1) == Op::kConstInt && op(2) == Op::kBinary &&
-          s1 < (1 << 20)) {
-        return make(Op::kLoadConstBinary, in(1).a, s1 | in(2).a << 20, 0, 3);
-      }
-      if (runOk(3) && op(1) == Op::kLoad && op(2) == Op::kBinary &&
-          in(1).a < (1 << 20)) {
-        return make(Op::kLoadLoadBinary, s1, in(1).a | in(2).a << 20, 0, 3);
-      }
-      if (runOk(2) && op(1) == Op::kReturnValue) {
-        return make(Op::kLoadReturn, s1, 0, 0, 2);
-      }
-      if (runOk(2) && op(1) == Op::kLoad) {
-        return make(Op::kLoadLoad, s1, in(1).a, 0, 2);
+      if (op(1) == Op::kLoad && fusable(2, 1)) {
+        return make(Op::kLoadLoad, in(0).a, in(1).a, 0, 2, 0, 1);
       }
       break;
-    }
-    case Op::kGetThisFieldSlot: {
-      const std::int32_t off = in(0).a;
-      // [kGetThisFieldSlot kGetThisFieldSlot kBinary (kCast) kDup
-      //  kPutThisFieldSlot kPop kGetThisFieldSlot kReturnValue] — the
-      // `f1 = f1 <op> f2; return f1;` method body, e.g. a counter bump.
-      for (std::size_t len : {std::size_t{9}, std::size_t{8}}) {
-        const bool cast = len == 9;
-        if (!runOk(len)) continue;
-        std::size_t i = 1;
-        if (op(i) != Op::kGetThisFieldSlot) break;
-        const std::int32_t off2 = in(i).a;
-        ++i;
-        if (op(i) != Op::kBinary) break;
-        const std::int32_t bop = in(i).a;
-        ++i;
-        std::int32_t castEnc = -1;
-        if (cast) {
-          if (!implicitCast(i)) continue;
-          castEnc = in(i).a;
-          ++i;
-        }
-        if (op(i) != Op::kDup) break;
-        ++i;
-        if (op(i) != Op::kPutThisFieldSlot || in(i).a != off) break;
-        ++i;
-        if (op(i) != Op::kPop) break;
-        ++i;
-        if (op(i) != Op::kGetThisFieldSlot || in(i).a != off) break;
-        ++i;
-        if (op(i) != Op::kReturnValue) break;
-        if (off >= (1 << 12) || off2 >= (1 << 12) || bop >= 32 ||
-            castEnc >= 16) {
-          break;
-        }
-        const std::int32_t castE = castEnc < 0 ? kNoKindEnc : castEnc;
-        return make(Op::kThisFieldAccumReturn, off | off2 << 12,
-                    bop | castE << 8, 0, len);
-      }
-      if (runOk(3) && op(1) == Op::kConstInt && op(2) == Op::kBinary &&
-          off < (1 << 20)) {
-        return make(Op::kThisFieldConstBinary, in(1).a, off | in(2).a << 20,
-                    0, 3);
-      }
-      if (runOk(2) && op(1) == Op::kBinary) {
-        return make(Op::kThisFieldBinary, off, in(1).a, 0, 2);
-      }
-      if (runOk(2) && op(1) == Op::kReturnValue) {
-        return make(Op::kThisFieldReturn, off, 0, 0, 2);
-      }
-      break;
-    }
     case Op::kConstInt:
-      if (runOk(2) && op(1) == Op::kBinary) {
-        return make(Op::kConstBinary, in(0).a, in(1).a, 0, 2);
+      if (op(1) == Op::kBinary && in(1).b == 0 && fusable(2)) {
+        return make(Op::kConstBinary, in(0).a, in(1).a, 0, 2, 1);
       }
       break;
     case Op::kDup:
-      if (runOk(3) && op(1) == Op::kStore && op(2) == Op::kPop) {
-        return make(Op::kStorePop, in(1).a, in(1).b, 0, 3);
-      }
-      if (runOk(3) && op(1) == Op::kPutThisFieldSlot && op(2) == Op::kPop) {
-        return make(Op::kPutThisFieldSlotPop, in(1).a, 0, 0, 3);
-      }
-      break;
-    case Op::kBinary: {
-      const std::int32_t bop = in(0).a;
-      if (runOk(5) && implicitCast(1) && op(2) == Op::kDup &&
-          op(3) == Op::kStore && op(4) == Op::kPop) {
-        const std::int32_t se = storeEnc(in(3));
-        if (bop < 256 && in(1).a < 256 && se < 256) {
-          return make(Op::kBinCastStorePop, in(3).a,
-                      bop | in(1).a << 8 | se << 16, 0, 5);
+      if (isStoreTail(0)) {
+        if (op(3) == Op::kJump && fusable(4)) {
+          return make(Op::kStoreLocalPopJump, in(3).a, in(1).a, 0, 4, 1);
         }
-      }
-      if (runOk(2) && implicitCast(1)) {
-        return make(Op::kBinaryCast, bop, in(1).a, 0, 2);
+        if (fusable(3)) return make(Op::kStoreLocalPop, in(1).a, 0, 0, 3, 1);
       }
       break;
-    }
+    case Op::kBinary:
+      if (in(0).b != 0) break;
+      if (isStoreTail(1) && fusable(4)) {
+        make(Op::kBinaryStore, in(2).a, 0, 0, 4, 0);
+        return withOp(4, in(0).a);
+      }
+      if (op(1) == Op::kJumpIfFalse && fusable(2)) {
+        return make(Op::kBinaryJumpIfFalse, in(1).a, in(0).a, 0, 2, 0);
+      }
+      break;
     default:
       break;
   }
@@ -1258,201 +1022,31 @@ std::size_t matchSuper(const std::vector<Instr>& c, std::size_t pc,
   return 1;
 }
 
-/// Second peephole pass, over already-fused code: merge a loop-body tail
-/// statement with the kIncDecJump latch that follows it, so a steady-state
-/// counted-loop iteration dispatches once for the whole tail. The merged
-/// instruction replays both constituent charge sequences verbatim and
-/// carries the combined seed run length in n. Targets inside the packed
-/// operands are the pre-pass pcs; remapping happens in runFusePass like
-/// any other jump operand.
-std::size_t matchPair(const std::vector<Instr>& c, std::size_t pc,
-                      const std::vector<char>& barrier, Instr* out) {
-  *out = c[pc];
-  if (pc + 2 > c.size() || barrier[pc + 1]) return 1;
-  const Instr& i0 = c[pc];
-  const Instr& i1 = c[pc + 1];
-  if (i1.op != Op::kIncDecJump || i1.a >= (1 << 16) || i1.c >= (1 << 16)) {
-    return 1;
-  }
-  const std::uint32_t lSlot = static_cast<std::uint32_t>(i1.b) & 0xFFFF;
-  const std::uint32_t lBop = (static_cast<std::uint32_t>(i1.b) >> 16) & 0x1F;
-  const std::uint32_t lStoreK =
-      (static_cast<std::uint32_t>(i1.b) >> 21) & 0xF;
-  const std::uint32_t lCastK = (static_cast<std::uint32_t>(i1.b) >> 25) & 0xF;
-  const std::uint32_t pool = static_cast<std::uint32_t>(i1.a);
-  const std::uint32_t target = static_cast<std::uint32_t>(i1.c);
-  const auto emit = [&](Op sop, std::uint32_t a, std::uint32_t b,
-                        std::uint32_t cOperand) {
-    *out = Instr{sop, static_cast<std::int32_t>(a),
-                 static_cast<std::int32_t>(b),
-                 static_cast<std::int32_t>(cOperand), i0.line};
-    out->n = static_cast<std::uint8_t>(i0.n + i1.n);
-    return std::size_t{2};
-  };
-  switch (i0.op) {
-    case Op::kAccumConstStmt: {
-      const std::uint32_t b0 = static_cast<std::uint32_t>(i0.b);
-      const std::uint32_t s1 = b0 & 0x3FF;
-      const std::uint32_t s2 = (b0 >> 10) & 0x3FF;
-      if (s2 != lSlot || s1 >= (1 << 8) || s2 >= (1 << 8) ||
-          i0.a >= (1 << 16)) {
-        return 1;
-      }
-      const std::uint32_t c0 = static_cast<std::uint32_t>(i0.c);
-      return emit(Op::kAccumConstJump,
-                  static_cast<std::uint32_t>(i0.a) | pool << 16,
-                  s1 | s2 << 8 | ((b0 >> 20) & 0x1F) << 16 |
-                      ((b0 >> 25) & 0x1F) << 21 | lBop << 26,
-                  target | (c0 & 0xF) << 16 | ((c0 >> 4) & 0xF) << 20 |
-                      lStoreK << 24 | lCastK << 28);
-    }
-    case Op::kStorePop: {
-      if (i0.a >= (1 << 10) || lSlot >= (1 << 10) || i0.b >= 15) return 1;
-      const std::uint32_t storeKS =
-          i0.b < 0 ? kNoKindEnc : static_cast<std::uint32_t>(i0.b);
-      return emit(Op::kStorePopIncDecJump, pool | target << 16,
-                  static_cast<std::uint32_t>(i0.a) | lSlot << 10 |
-                      lBop << 20,
-                  storeKS | lStoreK << 4 | lCastK << 8);
-    }
-    case Op::kBinCastStorePop: {
-      const std::uint32_t b0 = static_cast<std::uint32_t>(i0.b);
-      const std::uint32_t bopS = b0 & 0xFF;
-      const std::uint32_t castKS = (b0 >> 8) & 0xFF;
-      const std::uint32_t storeKS = (b0 >> 16) & 0xFF;
-      if (i0.a >= (1 << 8) || lSlot >= (1 << 8) || bopS >= 32 ||
-          castKS >= 16 || storeKS >= 16) {
-        return 1;
-      }
-      return emit(Op::kBinCastStoreIncDecJump, pool | target << 16,
-                  static_cast<std::uint32_t>(i0.a) | lSlot << 8 |
-                      bopS << 16 | lBop << 21,
-                  storeKS | castKS << 4 | lStoreK << 8 | lCastK << 12);
-    }
-    default:
-      return 1;
-  }
-}
-
-/// Third peephole pass: collapse a whole counted accumulate loop —
-/// [kLoadConstCmpJump][kAccumConstJump] with the cmp testing the latch
-/// slot, the false-exit falling through past the pair, and the backedge
-/// returning to the cmp — into one self-dispatching instruction. n is the
-/// cmp run's unconditional prefix (4, the only part an exiting iteration
-/// executes); the handler accounts the tick and the body run separately on
-/// the taken path, so step totals stay exact on both paths.
-std::size_t matchLoop(const std::vector<Instr>& c, std::size_t pc,
-                      const std::vector<char>& barrier, Instr* out) {
-  *out = c[pc];
-  if (pc + 2 > c.size() || barrier[pc + 1]) return 1;
-  const Instr& i0 = c[pc];
-  const Instr& i1 = c[pc + 1];
-  if (i0.op != Op::kLoadConstCmpJump || i1.op != Op::kAccumConstJump) {
-    return 1;
-  }
-  const std::uint32_t b0 = static_cast<std::uint32_t>(i0.b);
-  const std::uint32_t b1 = static_cast<std::uint32_t>(i1.b);
-  const std::uint32_t c1 = static_cast<std::uint32_t>(i1.c);
-  const std::uint32_t tick = (b0 >> 26) & 1;
-  const std::uint32_t castK1 = (c1 >> 20) & 0xF;
-  const std::uint32_t castKL = c1 >> 28;
-  if (i0.a != static_cast<std::int32_t>(pc) + 2 ||       // exit falls through
-      (c1 & 0xFFFF) != pc ||                             // backedge to cmp
-      (b0 & 0xFFFFF) != ((b1 >> 8) & 0xFF) ||            // cmp slot == s2
-      i0.c >= (1 << 16) || (i1.a >> 16) >= (1 << 10) ||
-      // The handler derives each part's seed run length from the encoding;
-      // refuse shapes where that derivation would not hold.
-      i0.n != 4 ||
-      i1.n != 15 + (castK1 != 15 ? 1 : 0) + (castKL != 15 ? 1 : 0)) {
-    return 1;
-  }
-  *out = Instr{Op::kCountedAccumLoop,
-               static_cast<std::int32_t>(static_cast<std::uint32_t>(i0.c) |
-                                         (static_cast<std::uint32_t>(i1.a) &
-                                          0xFFFFu)
-                                             << 16),
-               i1.b,
-               static_cast<std::int32_t>(
-                   (static_cast<std::uint32_t>(i1.a) >> 16) |
-                   ((b0 >> 20) & 0x1F) << 10 | tick << 15 |
-                   (c1 >> 16) << 16),
-               i0.line};
-  out->n = i0.n;
-  return 2;
-}
-
-/// Every pc a jump operand or handler boundary can name, for the barrier
-/// set and the post-pass remap. Understands the fused jump forms too, so
-/// later passes can run over earlier passes' output.
-template <typename Fn>
-void visitJumpOperands(Instr& in, Fn&& fn) {
-  switch (in.op) {
-    case Op::kJump:
-    case Op::kJumpIfFalse:
-    case Op::kJumpIfTrue:
-    case Op::kLoadConstCmpJump:
-    case Op::kLoadLoadCmpJump:
-      in.a = fn(in.a);
-      break;
-    case Op::kIncDecJump:
-      in.c = fn(in.c);
-      break;
-    case Op::kAccumConstJump: {
-      const std::uint32_t cc = static_cast<std::uint32_t>(in.c);
-      in.c = static_cast<std::int32_t>(
-          (cc & ~0xFFFFu) |
-          static_cast<std::uint32_t>(fn(static_cast<std::int32_t>(
-              cc & 0xFFFF))));
-      break;
-    }
-    case Op::kStorePopIncDecJump:
-    case Op::kBinCastStoreIncDecJump: {
-      const std::uint32_t aa = static_cast<std::uint32_t>(in.a);
-      in.a = static_cast<std::int32_t>(
-          (aa & 0xFFFFu) |
-          static_cast<std::uint32_t>(
-              fn(static_cast<std::int32_t>(aa >> 16)))
-              << 16);
-      break;
-    }
-    default:
-      break;
-  }
-}
-
 /// One greedy left-to-right fusion pass: jump-target and exception-range
-/// barriers, match, then pc remapping of every jump operand and
-/// exception-table entry.
-void runFusePass(Chunk& chunk,
-                 std::size_t (*match)(const std::vector<Instr>&, std::size_t,
-                                      const std::vector<char>&, Instr*)) {
-  std::vector<Instr>& code = chunk.code;
+/// barriers, match, then remap every jump operand and exception-table
+/// entry.
+void fuseChunk(Chunk& chunk) {
+  const std::vector<Instr>& code = chunk.code;
   if (code.empty()) return;
-
   std::vector<char> barrier(code.size() + 1, 0);
   barrier[0] = 1;
-  for (Instr& in : code) {
-    visitJumpOperands(in, [&](std::int32_t t) {
-      barrier[static_cast<std::size_t>(t)] = 1;
-      return t;
-    });
+  for (const Instr& in : code) {
+    if (isJump(in.op)) barrier[static_cast<std::size_t>(in.a)] = 1;
   }
   for (const auto& h : chunk.handlers) {
     barrier[static_cast<std::size_t>(h.start)] = 1;
     barrier[static_cast<std::size_t>(h.end)] = 1;
     barrier[static_cast<std::size_t>(h.handler)] = 1;
   }
-
   std::vector<Instr> fused;
   fused.reserve(code.size());
-  // Old pc -> new pc. Interior pcs of a fused run map to the run's new pc;
-  // that case never feeds a jump or handler operand because interior pcs
-  // are barrier-free by construction.
+  // Interior pcs of a fused run never feed a jump or handler operand
+  // (they are barrier-free by construction).
   std::vector<std::int32_t> newPcOf(code.size() + 1, 0);
   std::size_t pc = 0;
   while (pc < code.size()) {
     Instr out;
-    const std::size_t len = match(code, pc, barrier, &out);
+    const std::size_t len = matchSuper(code, pc, barrier, &out);
     for (std::size_t i = 0; i < len; ++i) {
       newPcOf[pc + i] = static_cast<std::int32_t>(fused.size());
     }
@@ -1460,10 +1054,8 @@ void runFusePass(Chunk& chunk,
     pc += len;
   }
   newPcOf[code.size()] = static_cast<std::int32_t>(fused.size());
-
   for (Instr& in : fused) {
-    visitJumpOperands(
-        in, [&](std::int32_t t) { return newPcOf[static_cast<std::size_t>(t)]; });
+    if (isJump(in.op)) in.a = newPcOf[static_cast<std::size_t>(in.a)];
   }
   for (auto& h : chunk.handlers) {
     h.start = newPcOf[static_cast<std::size_t>(h.start)];
@@ -1473,24 +1065,18 @@ void runFusePass(Chunk& chunk,
   chunk.code = std::move(fused);
 }
 
-/// The peephole: run-level fusion over the seed code, the loop-tail pair
-/// pass over its output, then the whole-loop pass over that.
-void fuseChunk(Chunk& chunk) {
-  runFusePass(chunk, matchSuper);
-  runFusePass(chunk, matchPair);
-  runFusePass(chunk, matchLoop);
-}
-
 // ---------------------------------------------------------------------------
 
 CompiledProgram ProgramCompiler::run() {
-  // Resolve before lowering: the resolver stamps every class/method/field
-  // with ids and slots, and every bound name site compiles straight to a
-  // slot-resolved opcode.
+  // Resolve before lowering: every bound name site compiles straight to a
+  // slot-resolved opcode, exactly as the tree interpreter dispatches it.
   res_ = jlang::ensureResolved(program_);
   out_.resolution = res_;
   for (const auto& unit : program_.units) {
     for (const auto& cls : unit.classes) {
+      // Shadowed duplicate class names never execute (findClass returns
+      // the first), exactly as in the tree.
+      if (out_.classes.count(cls.name) != 0) continue;
       CompiledClass compiled;
       compiled.name = cls.name;
       compiled.classId = cls.classId;
@@ -1498,37 +1084,33 @@ CompiledProgram ProgramCompiler::run() {
         compiled.fields.push_back(CompiledField{
             f.name, jvm::kindOfType(f.type), f.isStatic});
       }
-      {
-        MethodCompiler mc(*this, cls, /*isStatic=*/true);
-        compiled.clinit = mc.compileFieldInits(cls, /*staticFields=*/true);
-      }
-      {
-        MethodCompiler mc(*this, cls, /*isStatic=*/false);
-        compiled.initFields =
-            mc.compileFieldInits(cls, /*staticFields=*/false);
-      }
+      compiled.clinit = MethodCompiler(*this, cls).compileFieldInits(true);
+      compiled.initFields = MethodCompiler(*this, cls).compileFieldInits(false);
       for (const auto& m : cls.methods) {
-        MethodCompiler mc(*this, cls, m.isStatic);
-        compiled.methods.emplace(m.name, mc.compileMethod(m));
+        // First declaration wins, mirroring ClassDecl::findMethod.
+        if (compiled.methods.count(m.name) != 0) continue;
+        compiled.methods.emplace(m.name,
+                                 MethodCompiler(*this, cls).compileMethod(m));
         if (m.name == "main" && m.isStatic) compiled.hasMain = true;
       }
       out_.classes.emplace(cls.name, std::move(compiled));
     }
   }
-  // Post passes over every chunk: dense chunk ids (the VM's quickening
-  // key), the pre-fusion max-stack dataflow, then the peephole.
-  std::uint32_t nextChunkId = 0;
   const auto finishChunk = [&](Chunk& chunk) {
-    chunk.chunkId = nextChunkId++;
     computeMaxStack(chunk);
     if (options_.fuseSuperinstructions) fuseChunk(chunk);
+    // Compiled programs stay resident in jepod's cache: no growth slack.
+    chunk.code.shrink_to_fit();
+    chunk.handlers.shrink_to_fit();
   };
   for (auto& [name, cls] : out_.classes) {
     finishChunk(cls.clinit);
     finishChunk(cls.initFields);
     for (auto& [mname, chunk] : cls.methods) finishChunk(chunk);
   }
-  out_.chunkCount = nextChunkId;
+  out_.names.shrink_to_fit();
+  out_.intPool.shrink_to_fit();
+  out_.numPool.shrink_to_fit();
   return std::move(out_);
 }
 
@@ -1550,14 +1132,16 @@ std::string disassemble(const Chunk& chunk, const CompiledProgram& program) {
     const Instr& in = chunk.code[pc];
     out += "  " + std::to_string(pc) + ": op" +
            std::to_string(static_cast<int>(in.op)) + " a=" +
-           std::to_string(in.a) + " b=" + std::to_string(in.b);
-    if (in.op == Op::kConstStr || in.op == Op::kGetStatic ||
-        in.op == Op::kGetField || in.op == Op::kCallVirtual ||
-        in.op == Op::kGetFieldCached || in.op == Op::kPutFieldCached ||
-        in.op == Op::kCallVirtualCached) {
+           std::to_string(in.a) + " b=" + std::to_string(in.b) +
+           " c=" + std::to_string(in.c);
+    if (in.op == Op::kGetField || in.op == Op::kPutField ||
+        in.op == Op::kInvokeVirtual || in.op == Op::kNewDyn ||
+        in.op == Op::kThrowVm) {
       out += " (" + program.names.at(static_cast<std::size_t>(in.a)) + ")";
     }
-    if (in.n > 1) out += " n=" + std::to_string(static_cast<int>(in.n));
+    if (in.n > 0) out += " n=" + std::to_string(static_cast<int>(in.n));
+    if (in.n2 > 0) out += " n2=" + std::to_string(static_cast<int>(in.n2));
+    if (in.n3 > 0) out += " n3=" + std::to_string(static_cast<int>(in.n3));
     out += "\n";
   }
   for (const auto& h : chunk.handlers) {

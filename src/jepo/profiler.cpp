@@ -4,7 +4,8 @@
 #include <map>
 #include <memory>
 
-#include "jvm/interpreter.hpp"
+#include "jbc/bcvm.hpp"
+#include "jbc/compiler.hpp"
 #include "obs/span.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
@@ -13,9 +14,15 @@ namespace jepo::core {
 
 void Profiler::profile(const jlang::Program& program,
                        std::string_view mainClass, std::uint64_t maxSteps) {
+  const jbc::CompiledProgram compiled = jbc::compile(program);
+  profile(compiled, mainClass, maxSteps);
+}
+
+void Profiler::profile(const jbc::CompiledProgram& compiled,
+                       std::string_view mainClass, std::uint64_t maxSteps) {
   obs::Span span("jepo.profile");
   energy::SimMachine machine;
-  jvm::Interpreter interp(program, machine);
+  jbc::BytecodeVm vm(compiled, machine);
   // The fault device (when armed) must outlive the instrumenter reading
   // through it; its stream identity is (profile seed, spec seed) so every
   // job derives a fresh, scheduling-independent fault sequence.
@@ -32,28 +39,34 @@ void Profiler::profile(const jlang::Program& program,
   jvm::Instrumenter inst(machine, device);
   // Tier before hooks: setHooks hoists the instrumenter's gate pointer.
   inst.setTier(tier_, seed_);
-  interp.setHooks(&inst);
-  interp.setMaxSteps(maxSteps);
-  interp.setCancelToken(cancel_);
-  if (heapLimit_.has_value()) interp.setHeapLimit(*heapLimit_);
+  vm.setHooks(&inst);
+  vm.setMaxSteps(maxSteps);
+  vm.setCancelToken(cancel_);
+  if (heapLimit_.has_value()) vm.setHeapLimit(*heapLimit_);
+  const auto capture = [&] {
+    inst.finalizeSampling();
+    records_ = inst.records();
+    tierStats_ = inst.tierStats();
+    output_ = vm.output();
+  };
   try {
-    interp.runMain(mainClass);
+    vm.runMain(mainClass);
+  } catch (const jvm::Thrown& thrown) {
+    // An uncaught MiniJava exception has already closed its frames through
+    // onExit; keep the records and output, and name the exception while
+    // its heap is still alive.
+    capture();
+    throw jvm::UncaughtException(thrown, vm.heap());
   } catch (...) {
     // VM abort: flush the methods still on the stack as truncated records
     // so partial executions survive into result.txt (open *unsampled*
     // invocations reconcile to counter decrements instead), then surface
     // the error with the captured state intact.
     inst.unwindAbortedFrames();
-    inst.finalizeSampling();
-    records_ = inst.records();
-    tierStats_ = inst.tierStats();
-    output_ = interp.output();
+    capture();
     throw;
   }
-  inst.finalizeSampling();
-  records_ = inst.records();
-  tierStats_ = inst.tierStats();
-  output_ = interp.output();
+  capture();
 }
 
 std::vector<MethodTotals> Profiler::totals() const {

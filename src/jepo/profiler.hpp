@@ -1,9 +1,11 @@
 // Profiler — JEPO's "profiler" pop-up button.
 //
 // Selects the main class (prompting — here: erroring with candidates — when
-// ambiguous), runs the project with the Instrumenter installed, and exposes
-// the per-execution records plus the two artifacts JEPO produces: the
-// result.txt dump and the profiler view (Fig. 4).
+// ambiguous), runs the project on the bytecode VM with the Instrumenter
+// installed, and exposes the per-execution records plus the two artifacts
+// JEPO produces: the result.txt dump and the profiler view (Fig. 4). The
+// VM reproduces the tree interpreter's charges and hooks exactly (jbc/
+// code.hpp), so records are the ones the tree oracle would produce.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +15,7 @@
 
 #include "energy/machine.hpp"
 #include "fault/fault.hpp"
+#include "jbc/code.hpp"
 #include "jlang/ast.hpp"
 #include "jvm/instrumenter.hpp"
 #include "support/cancel.hpp"
@@ -51,6 +54,11 @@ class Profiler {
   /// on the stack appear as `truncated` records, innermost first.
   void profile(const jlang::Program& program, std::string_view mainClass = {},
                std::uint64_t maxSteps = 0);
+  /// Same, over an already compiled program (jbc::compile(program)) — the
+  /// compile-once path jepod's cache serves. The source Program of
+  /// `compiled` must outlive the call.
+  void profile(const jbc::CompiledProgram& compiled,
+               std::string_view mainClass = {}, std::uint64_t maxSteps = 0);
 
   /// Cap the profiled run's heap at `objects` before mark-compact kicks in
   /// (0 = never collect). Unset, the engine default applies (env

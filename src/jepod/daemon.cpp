@@ -18,6 +18,7 @@
 #include "jlang/parser.hpp"
 #include "jlang/printer.hpp"
 #include "jlang/resolve.hpp"
+#include "jvm/engine.hpp"
 #include "support/json_reader.hpp"
 
 namespace jepo::jepod {
@@ -304,7 +305,11 @@ void Daemon::readLoop(const std::shared_ptr<Connection>& conn) {
         } else if (pr < 0) {
           if (errno == EINTR) continue;
           return;
-        } else if (conn->inflight.load(std::memory_order_acquire) == 0) {
+        } else if (conn->inflight.load(std::memory_order_acquire) == 0 &&
+                   std::chrono::steady_clock::now().time_since_epoch() -
+                           std::chrono::nanoseconds(conn->lastWriteNs.load(
+                               std::memory_order_acquire)) >=
+                       std::chrono::milliseconds(cfg_.idleTimeoutMs)) {
           idleReaped_->add();
           return;
         }
@@ -394,15 +399,17 @@ void Daemon::handleLine(const std::string& line,
 
   pool_->submit([this, req = std::move(req), conn, ctx, admittedAt]() mutable {
     const std::string response = runJob(req, ctx.get());
-    writeLine(conn, response);
-    finishJobContext(ctx);
-    conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
+    // Account the job before its response goes out, so a client that has
+    // its answer also sees its latency sample.
     const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                         std::chrono::steady_clock::now() - admittedAt)
                         .count();
     latencyUs_->record(static_cast<std::uint64_t>(us));
     tenantLatency(req.tenant).record(static_cast<std::uint64_t>(us));
     completed_->add();
+    writeLine(conn, response);
+    finishJobContext(ctx);
+    conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
     finishJob();
   });
 }
@@ -515,7 +522,7 @@ std::string Daemon::runJob(const JobRequest& req, JobContext* ctx) {
       return renderOptimizeResponse(req, cached, changes, source);
     }
 
-    // profile — per-job isolation: fresh Profiler/SimMachine/Interpreter,
+    // profile — per-job isolation: fresh Profiler/SimMachine/BytecodeVm,
     // explicit heap limit (the daemon's environment must never leak into
     // a tenant's result), fault/RNG streams derived from the job seed.
     core::Profiler profiler;
@@ -551,7 +558,9 @@ std::string Daemon::runJob(const JobRequest& req, JobContext* ctx) {
                   (std::string("tier.") + jvm::tierName(tierSpec.tier))
                       .c_str())
         .add();
-    profiler.profile(program, req.mainClass, req.maxSteps);
+    // The cache entry's bytecode: compiled by the first profile job for
+    // this source, shared read-only by every later one.
+    profiler.profile(compiled->bytecode(), req.mainClass, req.maxSteps);
     ProfileResult result;
     result.stdoutText = profiler.programOutput();
     result.records = profiler.records();
@@ -581,6 +590,11 @@ std::string Daemon::runJob(const JobRequest& req, JobContext* ctx) {
     }
     return renderErrorResponse(req.id, ErrorCode::kCancelled,
                                "job cancelled: client disconnected");
+  } catch (const jvm::UncaughtException& e) {
+    // A MiniJava exception escaped main (Profiler names its class).
+    tenantCounter(req.tenant, "errors").add();
+    return renderErrorResponse(req.id, ErrorCode::kUncaughtException,
+                               e.what());
   } catch (const Error& e) {
     // VM aborts (step limit, runtime error) and main-class ambiguity.
     tenantCounter(req.tenant, "errors").add();
@@ -588,6 +602,12 @@ std::string Daemon::runJob(const JobRequest& req, JobContext* ctx) {
   } catch (const std::exception& e) {
     tenantCounter(req.tenant, "errors").add();
     return renderErrorResponse(req.id, ErrorCode::kInternal, e.what());
+  } catch (...) {
+    // Last resort: whatever escaped, the job still gets exactly one
+    // response and its admission slot back.
+    tenantCounter(req.tenant, "errors").add();
+    return renderErrorResponse(req.id, ErrorCode::kInternal,
+                               "internal error: unknown exception");
   }
 }
 
@@ -603,6 +623,11 @@ void Daemon::writeLine(const std::shared_ptr<Connection>& conn,
     if (n <= 0) return;  // client went away; its loss
     sent += static_cast<std::size_t>(n);
   }
+  conn->lastWriteNs.store(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count(),
+      std::memory_order_release);
 }
 
 obs::Counter& Daemon::tenantCounter(const std::string& tenant,

@@ -59,9 +59,9 @@ struct DaemonConfig {
   /// connection survives). Bounds per-connection buffering.
   std::size_t maxLineBytes = 8u << 20;
   /// Reap a connection that has been silent this long with no job in
-  /// flight (half-open peers, slow-loris trickles). 0 disables reaping —
-  /// a client legitimately waiting on a slow job is never reaped, because
-  /// its in-flight count is nonzero.
+  /// flight and no response written (half-open peers, slow-loris
+  /// trickles). 0 disables reaping — a client legitimately waiting on a
+  /// slow job is never reaped, because its in-flight count is nonzero.
   int idleTimeoutMs = 0;
   /// Seeded transport-fault injection on every accepted connection (chaos
   /// testing; see fault/transport.hpp). Each connection's FaultyStream is
@@ -124,6 +124,9 @@ class Daemon {
     /// Jobs admitted for this connection and not yet responded — the
     /// idle-reaper's "is anyone actually waiting on us" check.
     std::atomic<int> inflight{0};
+    /// steady_clock time of the last response written: a client that was
+    /// just answered is not idle, whatever its last request's age.
+    std::atomic<std::int64_t> lastWriteNs{0};
     std::mutex writeMu;  // workers and the reader interleave responses
   };
 

@@ -1,6 +1,16 @@
 #include "jepod/program_cache.hpp"
 
+#include "jbc/compiler.hpp"
+
 namespace jepo::jepod {
+
+const jbc::CompiledProgram& CachedProgram::bytecode() const {
+  std::call_once(compileOnce_, [this] {
+    compiled_ = std::make_unique<const jbc::CompiledProgram>(
+        jbc::compile(program));
+  });
+  return *compiled_;
+}
 
 std::uint64_t sourceHash(std::string_view source) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ULL;

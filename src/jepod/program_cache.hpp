@@ -30,6 +30,7 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "jbc/code.hpp"
 #include "jlang/ast.hpp"
 #include "obs/registry.hpp"
 
@@ -39,12 +40,22 @@ namespace jepo::jepod {
 /// cache key can double as a job's compile identity in logs.
 std::uint64_t sourceHash(std::string_view source) noexcept;
 
-/// One cached compile: the immutable program plus its identity.
+/// One cached compile: the immutable program plus its identity, and the
+/// bytecode profile jobs run — compiled lazily by the first profile job
+/// for the entry (analyze-only traffic never pays for it), then shared
+/// read-only by every later one.
 struct CachedProgram {
   jlang::Program program;  // resolved at insert; treated as const after
   std::string source;      // the exact bytes compiled; verified on get()
   std::uint64_t hash = 0;
   std::size_t bytes = 0;   // source size, the budget currency
+
+  /// The entry's bytecode, compiled on first use (thread-safe).
+  const jbc::CompiledProgram& bytecode() const;
+
+ private:
+  mutable std::once_flag compileOnce_;
+  mutable std::unique_ptr<const jbc::CompiledProgram> compiled_;
 };
 
 class ProgramCache {

@@ -13,6 +13,7 @@ std::string_view errorCodeName(ErrorCode code) noexcept {
     case ErrorCode::kUnknownCommand: return "unknown-command";
     case ErrorCode::kParseError: return "parse-error";
     case ErrorCode::kRuntimeError: return "runtime-error";
+    case ErrorCode::kUncaughtException: return "uncaught-exception";
     case ErrorCode::kQueueFull: return "queue-full";
     case ErrorCode::kShuttingDown: return "shutting-down";
     case ErrorCode::kDeadlineExceeded: return "deadline-exceeded";

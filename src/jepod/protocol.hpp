@@ -49,6 +49,7 @@ enum class ErrorCode {
   kUnknownCommand,
   kParseError,    // MiniJava source failed to parse
   kRuntimeError,  // the profiled program aborted (VM error, step limit)
+  kUncaughtException,  // a MiniJava exception escaped main
   kQueueFull,     // admission control rejected the job; retry later
   kShuttingDown,  // daemon is draining; no new jobs
   kDeadlineExceeded,  // the job's deadlineMs elapsed before it finished

@@ -132,6 +132,14 @@ void Parser::fail(const std::string& msg) const {
   throw ParseError(fileName_ + ": " + msg, peek().line, peek().col);
 }
 
+void Parser::Nest::deeper() {
+  ++levels_;
+  if (++p_.depth_ > kMaxNestingDepth) {
+    p_.fail("nesting deeper than " + std::to_string(kMaxNestingDepth) +
+            " levels");
+  }
+}
+
 std::string Parser::parseQualifiedName() {
   std::string name = expect(Tok::kIdentifier, "qualified name").text;
   while (match(Tok::kDot)) {
@@ -311,6 +319,7 @@ StmtPtr Parser::parseVarDecl(bool requireSemicolon) {
 }
 
 StmtPtr Parser::parseStmt() {
+  const Nest nest(*this);
   switch (peek().type) {
     case Tok::kLBrace: return parseBlock();
     case Tok::kKwIf: return parseIf();
@@ -484,6 +493,7 @@ StmtPtr Parser::parseSwitch() {
 ExprPtr Parser::parseExpr() { return parseAssignment(); }
 
 ExprPtr Parser::parseAssignment() {
+  const Nest nest(*this);
   ExprPtr lhs = parseTernary();
   AssignOp op;
   switch (peek().type) {
@@ -510,6 +520,7 @@ ExprPtr Parser::parseAssignment() {
 }
 
 ExprPtr Parser::parseTernary() {
+  const Nest nest(*this);
   ExprPtr cond = parseBinary(1);
   if (!check(Tok::kQuestion)) return cond;
   const Token& q = advance();
@@ -525,9 +536,11 @@ ExprPtr Parser::parseTernary() {
 
 ExprPtr Parser::parseBinary(int minPrec) {
   ExprPtr lhs = parseUnary();
+  Nest chain(*this);
   for (;;) {
     const int prec = binPrec(peek().type);
     if (prec < minPrec) return lhs;
+    chain.deeper();  // the left operand sinks one level per link
     const Token& opTok = advance();
     ExprPtr rhs = parseBinary(prec + 1);  // all binary ops left-associative
     auto node = std::make_unique<Expr>(ExprKind::kBinary);
@@ -541,6 +554,7 @@ ExprPtr Parser::parseBinary(int minPrec) {
 }
 
 ExprPtr Parser::parseUnary() {
+  const Nest nest(*this);
   const Token& t = peek();
   UnOp op;
   switch (t.type) {
@@ -599,7 +613,9 @@ ExprPtr Parser::parseUnary() {
 
 ExprPtr Parser::parsePostfix() {
   ExprPtr e = parsePrimary();
+  Nest chain(*this);
   for (;;) {
+    chain.deeper();  // each member access, call, index or ++/-- wraps e
     if (check(Tok::kDot)) {
       advance();
       const Token& name = expect(Tok::kIdentifier, "member name");

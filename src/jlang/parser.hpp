@@ -25,6 +25,14 @@ namespace jepo::jlang {
 
 class Parser {
  public:
+  /// Deepest statement/expression nesting the parser accepts. Every later
+  /// stage (resolver, compiler, optimizer, tree interpreter) recurses over
+  /// the AST, so bounding its depth here bounds their native stack use on
+  /// hostile input; deeper input is a typed ParseError, not a crash.
+  /// Left-deep operator chains (`a + b + c ...`) and postfix chains
+  /// (`a.b.c ...`) count one level per link, like explicit nesting.
+  static constexpr int kMaxNestingDepth = 512;
+
   Parser(std::string fileName, std::string_view source);
 
   /// Parse the whole file; throws ParseError with line:col on bad input.
@@ -68,9 +76,25 @@ class Parser {
   template <typename NodeT>
   std::unique_ptr<NodeT> locate(std::unique_ptr<NodeT> node) const;
 
+  /// One nesting level for the guard's lifetime; fails past the limit.
+  class Nest {
+   public:
+    explicit Nest(Parser& p) : p_(p) { deeper(); }
+    ~Nest() { p_.depth_ -= levels_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+    /// Another level inside the same construct (a chain link).
+    void deeper();
+
+   private:
+    Parser& p_;
+    int levels_ = 0;
+  };
+
   std::string fileName_;
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace jepo::jlang

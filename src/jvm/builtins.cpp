@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "jlang/resolve.hpp"
-#include "jvm/interpreter.hpp"  // Thrown
+#include "jvm/engine.hpp"  // Thrown
 #include "support/strings.hpp"
 
 namespace jepo::jvm {
@@ -449,9 +449,10 @@ bool BuiltinLibrary::instanceCall(Value receiver, const std::string& name,
     }
     if (name == "hashCode") {
       charge(Op::kIntAlu, s.size() + 1);
-      std::int32_t h = 0;
-      for (char c : s) h = 31 * h + static_cast<unsigned char>(c);
-      *out = Value::ofInt(h);
+      // Java's wrapping int arithmetic, without signed-overflow UB.
+      std::uint32_t h = 0;
+      for (char c : s) h = 31u * h + static_cast<unsigned char>(c);
+      *out = Value::ofInt(static_cast<std::int32_t>(h));
       return true;
     }
     throw VmError("unknown String method " + name);

@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "energy/machine.hpp"
-#include "jvm/interpreter.hpp"
+#include "jvm/engine.hpp"
 #include "jvm/tier.hpp"
 #include "rapl/quality.hpp"
 #include "rapl/rapl.hpp"

@@ -244,8 +244,9 @@ Value Interpreter::invoke(const ClassDecl& cls, const MethodDecl& m,
   if (frames_.size() >= kMaxFrames) {
     throwJava("StackOverflowError", cls.name + "." + m.name);
   }
-  JEPO_REQUIRE(args.size() == m.params.size(),
-               "wrong argument count for " + cls.name + "." + m.name);
+  if (args.size() != m.params.size()) {
+    throw VmError("wrong argument count for " + cls.name + "." + m.name);
+  }
 
   Frame frame;
   frame.cls = &cls;
@@ -377,9 +378,8 @@ Value Interpreter::constructResolved(const ResolvedClass& rc,
   // Constructor: a method named like the class.
   if (rc.ctor != nullptr) {
     invoke(*cls, *rc.ctor, Value::ofRef(r), std::move(args));
-  } else {
-    JEPO_REQUIRE(args.empty(),
-                 "class " + cls->name + " has no constructor taking args");
+  } else if (!args.empty()) {
+    throw VmError("class " + cls->name + " has no constructor taking args");
   }
   return Value::ofRef(r);
 }
@@ -738,7 +738,7 @@ Value Interpreter::evalArrayIndex(const Expr& e) {
   Gc::ScopedValue rootArr(gc_, arr);  // across the subscript's safepoints
   const std::int64_t idx = eval(*e.b).asInt();
   HeapObject& ho = heap_.get(arr.asRef());
-  JEPO_REQUIRE(ho.kind == ObjKind::kArray, "indexing a non-array");
+  if (ho.kind != ObjKind::kArray) throw VmError("indexing a non-array");
   if (idx < 0 || static_cast<std::size_t>(idx) >= ho.elems.size()) {
     throwJava("ArrayIndexOutOfBoundsException",
               "index " + std::to_string(idx) + " length " +
@@ -916,7 +916,9 @@ void Interpreter::storeTo(const Expr& target, Value v) {
         throwJava("NullPointerException", "store to field of null");
       }
       HeapObject& ho = heap_.get(obj.asRef());
-      JEPO_REQUIRE(ho.kind == ObjKind::kObject, "field store on non-object");
+      if (ho.kind != ObjKind::kObject) {
+        throw VmError("field store on non-object");
+      }
       std::int32_t offset = -1;
       if (ho.layout != nullptr && target.cacheSlot >= 0) {
         FieldCache& cache =
@@ -951,7 +953,7 @@ void Interpreter::storeTo(const Expr& target, Value v) {
       Gc::ScopedValue rootArr(gc_, arr);  // across the subscript's safepoints
       const std::int64_t idx = eval(*target.b).asInt();
       HeapObject& ho = heap_.get(arr.asRef());
-      JEPO_REQUIRE(ho.kind == ObjKind::kArray, "indexing a non-array");
+      if (ho.kind != ObjKind::kArray) throw VmError("indexing a non-array");
       if (idx < 0 || static_cast<std::size_t>(idx) >= ho.elems.size()) {
         throwJava("ArrayIndexOutOfBoundsException",
                   "store index " + std::to_string(idx) + " length " +
@@ -1154,7 +1156,9 @@ Value Interpreter::evalCall(const Expr& e) {
         return builtinResult;
       }
       const HeapObject& obj = heap_.get(receiver.asRef());
-      JEPO_REQUIRE(obj.kind == ObjKind::kObject, "method call on non-object");
+      if (obj.kind != ObjKind::kObject) {
+        throw VmError("method call on non-object");
+      }
       const std::int32_t classId = resolution_->classIdOf(obj.className);
       if (classId < 0) {
         throw VmError("method call on unknown class " + obj.className);

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "jvm/interpreter.hpp"  // Thrown
+#include "jvm/engine.hpp"  // Thrown
 
 namespace jepo::jvm {
 

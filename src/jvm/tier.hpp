@@ -37,7 +37,7 @@
 #include <string>
 #include <vector>
 
-#include "jvm/interpreter.hpp"
+#include "jvm/engine.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
@@ -85,13 +85,6 @@ class TierGate {
 
   const TierSpec& spec() const noexcept { return spec_; }
   std::uint64_t seed() const noexcept { return seed_; }
-
-  /// Decision for the *next* entry of `m`, without committing it. The
-  /// bcvm's fused trivial-call path peeks first: an admitted entry must
-  /// fall back to the framed path (which instruments), an unsampled one
-  /// may stay fused. peek followed by enter returns the same answer —
-  /// nothing advances the ordinal in between (single engine thread).
-  bool peekAdmit(const MethodRef& m) { return decide(slot(m), m.id); }
 
   /// Commit one entry of `m`: advances the per-method invocation ordinal
   /// and returns whether this invocation is instrumented. Counted even if

@@ -1,28 +1,21 @@
-// Exception tables vs. the peephole fuser and the quickener.
+// Exception tables, step accounting and GC rooting vs. the peephole fuser.
 //
-// The three-pass fuser (compiler.cpp) rewrites instruction runs into
-// superinstructions and remaps every pc-valued operand *and* every
-// ExceptionEntry{start, end, handler}. The quickener (bcvm.cpp) rewrites
-// opcodes in place without moving code. Either rewrite getting a handler
-// range wrong is invisible on the happy path — it only shows when a throw
-// lands inside a rewritten region. These tests pin exactly that:
+// The fuser (compiler.cpp) rewrites instruction runs into superinstructions
+// and remaps every pc-valued operand *and* every ExceptionEntry{start, end,
+// handler}, and superinstructions take their constituents' steps at step
+// points inside their handlers. Getting a pc or a step point wrong is
+// invisible on the happy path — it only shows when a throw lands inside a
+// rewritten region or a step budget runs out inside one. These tests pin
+// exactly that:
 //
 //   - every handler range stays within bounds after fusion, and fusion
 //     demonstrably fired inside try-covered code;
-//   - a throw from *inside a fused pair* (the division in
-//     kBinCastStoreIncDecJump, before the latch increment executes) is
-//     caught by the right handler with the same locals the unfused and
-//     tree engines see;
-//   - a throw on a later call of an already-quickened method still finds
-//     its handler;
-//   - fused and unfused compiles of the same program are observably
-//     bit-identical (stdout, simulated joules and seconds), so the fuser
-//     can never shift the energy accounting.
-//
-// All programs here are static-only (no constructors / instance calls), so
-// even the tree interpreter's joules must match bit-for-bit (the one
-// modeled cross-engine delta is the `this` slot charge; see
-// fuzz_diff_test.cpp).
+//   - a throw from *inside a superinstruction* (the division in
+//     kLoadLoadBinaryStore) is caught by the right handler with the same
+//     locals the unfused and tree engines see;
+//   - fused, unfused and tree runs of the same program are observably
+//     bit-identical (stdout, simulated joules and seconds), and so is the
+//     smallest step budget that lets a program finish.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -95,23 +88,22 @@ bool containsOp(const Chunk& c, Op op) {
   return false;
 }
 
-// A throw that must surface from *inside* a fused pair: the loop tail
-// [x /= d - i][i++, jump] fuses into kBinCastStoreIncDecJump — the
-// compound narrowing assignment carries the implicit short cast that
-// forms kBinCastStorePop, and the non-trivial divisor expression keeps
-// the division out of the operand-load superinstruction in front of it.
-// The division throws when d - i hits 0, before the fused latch
-// increments `i`. The catch prints i and x, so a fuser that runs the
-// latch early (or a mis-remapped handler range) changes output.
+// A throw that must surface from *inside* a superinstruction: `x = x / k;`
+// fuses into kLoadLoadBinaryStore, whose division throws when k = d - i
+// hits 0, before the store and the `i++` statement after it run. The
+// catch prints i and x, so a fuser that ran later statements early (or a
+// mis-remapped handler range) changes output.
 const char* const kThrowInFusedPair = R"(
 class Main {
   static void main(String[] args) {
     int i = 0;
     short x = 1000;
     int d = 3;
+    int k = 0;
     try {
       while (i < 8) {
-        x /= d - i;
+        k = d - i;
+        x = x / k;
         i++;
       }
       System.out.println("unreachable");
@@ -123,9 +115,9 @@ class Main {
 }
 )";
 
-// A counted accumulate loop (the whole-loop kCountedAccumLoop shape) inside
-// a try block, with a throw *after* it: the loop's implicit fall-through
-// exit and self-backedge must not disturb the surrounding handler range.
+// A counted loop (its header fused into kCmpLoopHead) inside a try block,
+// with a throw *after* it: the fused header's exit jump must not disturb
+// the surrounding handler range.
 const char* const kLoopInsideTry = R"(
 class Main {
   static void main(String[] args) {
@@ -140,11 +132,9 @@ class Main {
 }
 )";
 
-// A method with its own try/catch, called repeatedly: the call site and the
-// callee body quicken on the first iteration, and the throw only happens on
-// a later, fully-quickened execution. Handler pc ranges must survive the
-// in-place opcode rewrites.
-const char* const kThrowAfterQuickening = R"(
+// A method with its own try/catch, called repeatedly: the throw only
+// happens on a later execution of the same fused body.
+const char* const kThrowOnLaterCall = R"(
 class H {
   static int f(int i) {
     try {
@@ -196,31 +186,30 @@ TEST_P(FusionAgreementTest, FusedUnfusedAndTreeAgreeBitExact) {
   EXPECT_EQ(fused.pkgBits, unfused.pkgBits) << "fusion shifted joules";
   EXPECT_EQ(fused.secondsBits, unfused.secondsBits)
       << "fusion shifted simulated time";
-
-  // Cross-engine, only the output contract applies here: bytecode
-  // legitimately charges throw/call paths differently from the tree
-  // walker (the bit-identity energy contract lives in fuzz_diff_test.cpp,
-  // over a grammar that excludes exceptions).
+  // One charging semantics: the bytecode reproduces the tree's charges,
+  // throw and catch paths included.
   EXPECT_EQ(tree.out, fused.out);
+  EXPECT_EQ(tree.pkgBits, fused.pkgBits) << "engines disagree on joules";
+  EXPECT_EQ(tree.secondsBits, fused.secondsBits);
 }
 
 INSTANTIATE_TEST_SUITE_P(ExceptionShapes, FusionAgreementTest,
                          ::testing::Values(kThrowInFusedPair, kLoopInsideTry,
-                                           kThrowAfterQuickening,
+                                           kThrowOnLaterCall,
                                            kFinallyAroundLoop));
 
 TEST(FusionExceptionTable, ThrowInsideFusedPairIsCaughtWithExactLocals) {
   const Program prog = Parser::parseProgram("fusion.mjava", kThrowInFusedPair);
   const CompiledProgram fused = compileWith(prog, true);
 
-  // The loop tail really is one fused pair — otherwise this test would
-  // silently stop covering a throw from inside a superinstruction.
-  ASSERT_TRUE(containsOp(mainChunk(fused), Op::kBinCastStoreIncDecJump))
+  // The division really is inside a superinstruction — otherwise this test
+  // would silently stop covering a throw from inside one.
+  ASSERT_TRUE(containsOp(mainChunk(fused), Op::kLoadLoadBinaryStore))
       << disassemble(mainChunk(fused), fused);
 
-  // d - i: 3, 2, 1 divide fine (i reaches 3), then d - i hits 0 and the
-  // fused division throws with the latch not yet run: i stays 3, x stays
-  // its i=2 value 1000/3/2/1 = 166.
+  // d - i: 3, 2, 1 divide fine (i reaches 3), then k hits 0 and the fused
+  // division throws before `i++` runs: i stays 3, x stays its i=2 value
+  // 1000/3/2/1 = 166.
   const Observables got = runVm(fused);
   EXPECT_EQ(got.out, "caught i=3 x=166\nafter 3:166:3\n");
 }
@@ -228,17 +217,17 @@ TEST(FusionExceptionTable, ThrowInsideFusedPairIsCaughtWithExactLocals) {
 TEST(FusionExceptionTable, CountedLoopInsideTryKeepsHandlerRange) {
   const Program prog = Parser::parseProgram("fusion.mjava", kLoopInsideTry);
   const CompiledProgram fused = compileWith(prog, true);
-  ASSERT_TRUE(containsOp(mainChunk(fused), Op::kCountedAccumLoop))
+  ASSERT_TRUE(containsOp(mainChunk(fused), Op::kCmpLoopHead))
       << disassemble(mainChunk(fused), fused);
   // sum of (i & 7) over 125 full 0..7 cycles = 125 * 28 = 3500, so the
   // divisor is 0 and the handler range around the fused loop must fire.
   EXPECT_EQ(runVm(fused).out, "acc=3500\n");
 }
 
-TEST(FusionExceptionTable, ThrowAfterQuickeningFindsHandler) {
+TEST(FusionExceptionTable, ThrowOnLaterCallFindsHandler) {
   const Program prog =
-      Parser::parseProgram("fusion.mjava", kThrowAfterQuickening);
-  // 100/3, 100/2, 100/1, then 3-i hits 0 on the fourth (quickened) call,
+      Parser::parseProgram("fusion.mjava", kThrowOnLaterCall);
+  // 100/3, 100/2, 100/1, then 3-i hits 0 on the fourth call,
   // then negative divisors on the remaining calls.
   EXPECT_EQ(runVm(compileWith(prog, true)).out,
             "33\n50\n100\n-1\n-100\n-50\n");
@@ -250,7 +239,7 @@ TEST(FusionExceptionTable, ThrowAfterQuickeningFindsHandler) {
 // it fired in (so the remap was exercised, not vacuous).
 TEST(FusionExceptionTable, HandlerRangesStayInBoundsAcrossFusion) {
   const char* const sources[] = {kThrowInFusedPair, kLoopInsideTry,
-                                 kThrowAfterQuickening, kFinallyAroundLoop};
+                                 kThrowOnLaterCall, kFinallyAroundLoop};
   for (const char* src : sources) {
     const Program prog = Parser::parseProgram("fusion.mjava", src);
     const CompiledProgram fused = compileWith(prog, true);
@@ -279,11 +268,9 @@ TEST(FusionExceptionTable, HandlerRangesStayInBoundsAcrossFusion) {
   }
 }
 
-// Loop-heavy program whose every loop header is a tick-carrying cmp-jump
-// superinstruction, exercised across many loop *exits*: the outer for
-// (kLoadConstCmpJump), an inner counted accumulate (kCountedAccumLoop) and
-// a local-vs-local while (kLoadLoadCmpJump), each exiting once per outer
-// iteration.
+// Loop-heavy program whose loop headers fuse into kCmpLoopHead, exercised
+// across many loop *exits* and with step budgets that run out inside
+// superinstructions.
 const char* const kManyLoopExits = R"(
 class Main {
   static void main(String[] args) {
@@ -312,13 +299,26 @@ bool completesWithin(const CompiledProgram& p, std::uint64_t maxSteps) {
   return true;
 }
 
-std::uint64_t minimalMaxSteps(const CompiledProgram& p) {
+bool treeCompletesWithin(const Program& prog, std::uint64_t maxSteps) {
+  energy::SimMachine machine;
+  jvm::Interpreter interp(prog, machine);
+  interp.setMaxSteps(maxSteps);
+  try {
+    interp.runMain();
+  } catch (const VmError&) {
+    return false;
+  }
+  return true;
+}
+
+template <typename Fn>
+std::uint64_t minimalMaxSteps(Fn completes) {
   std::uint64_t lo = 1;
   std::uint64_t hi = std::uint64_t{1} << 22;
-  EXPECT_TRUE(completesWithin(p, hi)) << "search upper bound too small";
+  EXPECT_TRUE(completes(hi)) << "search upper bound too small";
   while (lo < hi) {
     const std::uint64_t mid = lo + (hi - lo) / 2;
-    if (completesWithin(p, mid)) {
+    if (completes(mid)) {
       hi = mid;
     } else {
       lo = mid + 1;
@@ -327,32 +327,46 @@ std::uint64_t minimalMaxSteps(const CompiledProgram& p) {
   return lo;
 }
 
-// The fused kLoopTick executes only on fall-through, so the cmp-jump
-// superinstructions keep it out of Instr::n (charged at every dispatch,
-// including the exiting one) and step it on the looping path instead. If
-// the exit path over-counted the tick, the smallest step budget that lets
-// this program finish would differ between the fused and unfused compiles
-// — one per loop exit — and a program near its maxSteps budget would trip
-// the limit in one configuration but not the other.
+// Superinstructions take their constituents' steps at the tree's step
+// points, so the smallest budget that lets the program finish must be the
+// tree's, fused or not — and a budget that runs out must leave the meter
+// exactly where the tree's does.
 TEST(FusionStepAccounting, MinimalStepBudgetMatchesUnfusedAcrossLoopExits) {
   const Program prog = Parser::parseProgram("fusion.mjava", kManyLoopExits);
   const CompiledProgram fused = compileWith(prog, true);
   const CompiledProgram unfused = compileWith(prog, false);
   const Chunk& main = mainChunk(fused);
-  ASSERT_TRUE(containsOp(main, Op::kCountedAccumLoop))
+  ASSERT_TRUE(containsOp(main, Op::kCmpLoopHead)) << disassemble(main, fused);
+  ASSERT_TRUE(containsOp(main, Op::kIncLocalJump))
       << disassemble(main, fused);
-  ASSERT_TRUE(containsOp(main, Op::kLoadLoadCmpJump))
-      << disassemble(main, fused);
-  EXPECT_EQ(minimalMaxSteps(fused), minimalMaxSteps(unfused));
+  const std::uint64_t treeMin = minimalMaxSteps(
+      [&](std::uint64_t n) { return treeCompletesWithin(prog, n); });
+  EXPECT_EQ(minimalMaxSteps(
+                [&](std::uint64_t n) { return completesWithin(fused, n); }),
+            treeMin);
+  EXPECT_EQ(minimalMaxSteps(
+                [&](std::uint64_t n) { return completesWithin(unfused, n); }),
+            treeMin);
+  for (const std::uint64_t budget : {treeMin / 3, treeMin / 2, treeMin - 1}) {
+    energy::SimMachine tm;
+    jvm::Interpreter interp(prog, tm);
+    interp.setMaxSteps(budget);
+    EXPECT_THROW(interp.runMain(), VmError);
+    energy::SimMachine vmMachine;
+    BytecodeVm vm(fused, vmMachine);
+    vm.setMaxSteps(budget);
+    EXPECT_THROW(vm.runMain(), VmError);
+    EXPECT_EQ(doubleBits(vmMachine.sample().packageJoules),
+              doubleBits(tm.sample().packageJoules))
+        << "abort at budget " << budget;
+  }
 }
 
-// Constant churn feeding fused call sites: kLoadLoadCallVirt/-CallSelf push
-// their two-Value argument span *after* VM_TOP recorded frame.top, then
-// enter helpers whose trivial-callee inlining runs a safepoint and re-reads
-// the span (including the receiver ref) from the caller stack. The handlers
-// must re-record frame.top before the call so a compaction landing on that
-// interior safepoint scans and remaps the pushed span; a stale receiver ref
-// here reads a moved/wrong heap object.
+// Constant churn feeding call sites whose argument loads fuse: the
+// argument span sits on the caller stack, rooted under the frame.top
+// recorded at the call's dispatch, while the callee runs safepoints. A
+// compaction there must remap the span (including the receiver ref) in
+// place; a stale receiver ref here reads a moved/wrong heap object.
 const char* const kFusedCallChurn = R"(
 class Box {
   int v;
@@ -382,9 +396,8 @@ TEST(FusionGcRooting, FusedCallArgSpansSurviveCompaction) {
   const Program prog = Parser::parseProgram("fusion.mjava", kFusedCallChurn);
   const CompiledProgram fused = compileWith(prog, true);
   const Chunk& main = mainChunk(fused);
-  ASSERT_TRUE(containsOp(main, Op::kLoadLoadCallVirt))
-      << disassemble(main, fused);
-  ASSERT_TRUE(containsOp(main, Op::kLoadLoadCallSelf))
+  ASSERT_TRUE(containsOp(main, Op::kLoadLoad)) << disassemble(main, fused);
+  ASSERT_TRUE(containsOp(main, Op::kInvokeVirtual))
       << disassemble(main, fused);
 
   const Observables unlimited = runVm(fused);

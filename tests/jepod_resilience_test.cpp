@@ -95,7 +95,7 @@ class Churn {
 
 // Effectively infinite under any realistic step budget (~2e15 inner
 // iterations), with the inner loop shaped so the bytecode compiler fuses
-// it into kCountedAccumLoop — the worst case for cancellation latency,
+// its header into kCmpLoopHead — the worst case for cancellation latency,
 // since the fused fast path must still pass a poll point every iteration.
 const char* const kSpinSource = R"(
 class Spin {
@@ -215,11 +215,11 @@ TEST(EngineCancel, TreeInterpreterUnwindsOnWatcherCancel) {
   watcher.join();
 }
 
-// The acceptance case for the VM: polls must fire *inside* the fused
-// counted-accumulate fast path, because kCountedAccumLoop's backedge
-// re-enters the dispatch top (where the poll lives) every iteration. A
-// fuser that hoisted the whole loop out of dispatch would hang here.
-TEST(EngineCancel, FusedCountedAccumLoopStaysCancellable) {
+// The acceptance case for the VM: polls must fire on the fused fast path,
+// because every step point — kCmpLoopHead's at each loop iteration
+// included — polls the token. A fuser that hoisted the loop out of
+// dispatch would hang here.
+TEST(EngineCancel, FusedLoopHeadStaysCancellable) {
   const auto prog = jlang::Parser::parseProgram("spin.mjava", kSpinSource);
   jbc::CompileOptions opts;
   opts.fuseSuperinstructions = true;
@@ -229,7 +229,7 @@ TEST(EngineCancel, FusedCountedAccumLoopStaysCancellable) {
     const auto it = cls.methods.find("main");
     if (!cls.hasMain || it == cls.methods.end()) continue;
     for (const auto& in : it->second.code) {
-      if (in.op == jbc::Op::kCountedAccumLoop) sawFusedLoop = true;
+      if (in.op == jbc::Op::kCmpLoopHead) sawFusedLoop = true;
     }
   }
   ASSERT_TRUE(sawFusedLoop) << "spin loop did not fuse; test is vacuous";

@@ -210,6 +210,48 @@ TEST_F(JepodTest, BadRequestsAreTypedAndEchoTheId) {
   EXPECT_EQ(planErr.errorCode, "bad-request");
 }
 
+// Tenant source that would overflow a recursive-descent parser is a typed
+// parse-error; the daemon keeps serving.
+TEST_F(JepodTest, DeeplyNestedSourceIsATypedParseError) {
+  startDaemon();
+  Client c = connect();
+  const std::string deep =
+      "class Main { static void main(String[] args) { int x = " +
+      std::string(100000, '(') + "1" + std::string(100000, ')') + "; } }";
+  const Response r = c.submit(makeRequest("deep", deep.c_str()));
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.errorCode, "parse-error");
+  EXPECT_NE(r.errorMessage.find("nesting deeper than"), std::string::npos)
+      << r.errorMessage;
+  const Response after = c.submit(makeRequest("after", kQuickSource));
+  EXPECT_TRUE(after.ok);
+}
+
+// A MiniJava exception escaping main gets exactly one typed response that
+// names the exception class, and the job's admission slot comes back: the
+// drain that follows completes.
+TEST_F(JepodTest, UncaughtExceptionIsTypedAndDrainCompletes) {
+  startDaemon();
+  Client c = connect();
+  const Response r = c.submit(makeRequest("oob", R"(
+class Main {
+  static void main(String[] args) {
+    int[] a = new int[2];
+    a[5] = 1;
+  }
+}
+)"));
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.errorCode, "uncaught-exception");
+  EXPECT_EQ(r.errorMessage,
+            "uncaught exception ArrayIndexOutOfBoundsException: store index "
+            "5 length 2");
+  const Response after = c.submit(makeRequest("after", kQuickSource));
+  EXPECT_TRUE(after.ok);
+  daemon_->requestDrain();
+  daemon_->waitDrained();
+}
+
 TEST_F(JepodTest, OversizedLineIsRejectedNotBuffered) {
   DaemonConfig cfg;
   cfg.maxLineBytes = 1024;

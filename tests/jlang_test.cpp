@@ -250,6 +250,39 @@ TEST(Parser, RejectsBrokenInput) {
   EXPECT_THROW(parse("class C { void m() { x++ ++; } }"), ParseError);
 }
 
+// Hostile nesting is a typed ParseError, never a native stack overflow in
+// the parser or any later AST walk — ~100k nested parentheses (~200 KB)
+// and an equally long left-deep operator chain alike.
+TEST(Parser, NestingDeeperThanTheLimitIsATypedError) {
+  const auto wrap = [](const std::string& expr) {
+    return "class C { static void main(String[] args) { int x = " + expr +
+           "; } }";
+  };
+  const std::string deepParens =
+      std::string(100000, '(') + "1" + std::string(100000, ')');
+  std::string longChain = "1";
+  for (int i = 0; i < 100000; ++i) longChain += "+1";
+  for (const std::string& expr : {deepParens, longChain}) {
+    try {
+      parse(wrap(expr));
+      FAIL() << "should throw";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("nesting deeper than 512 levels"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  std::string deepBlocks = "class C { void m() { ";
+  for (int i = 0; i < 100000; ++i) deepBlocks += "{";
+  EXPECT_THROW(parse(deepBlocks), ParseError);
+  // Ordinary depth stays well inside the limit.
+  EXPECT_NO_THROW(parse(wrap(std::string(50, '(') + "1" +
+                            std::string(50, ')'))));
+  std::string chain = "1";
+  for (int i = 0; i < 200; ++i) chain += "+1";
+  EXPECT_NO_THROW(parse(wrap(chain)));
+}
+
 TEST(Parser, ErrorsCarryFileAndLocation) {
   try {
     parse("class C {\n  int m() { return 1 }\n}");

@@ -1,15 +1,14 @@
 // Seeded MiniJava program generator for the cross-engine differential
-// fuzzer. Every program it emits is valid, terminating, and exception-free
-// (division/modulo denominators and array indices are generated in safe
-// ranges). The grammar sticks to constructs both engines charge identically
-// per-op, with one modeled exception: instance invocations, where the
-// bytecode VM charges the `this` argument slot and the tree interpreter
-// does not. Half the seeds emit no instance constructs at all, so their
-// simulated joules are bit-identical across engines. Constructs the
-// compiler legitimately charges differently without an exactly countable
-// model (ternaries, short-circuit && / ||, qualified field stores, array
-// stores, field/static initializers) are excluded by design; see
-// tests/fuzz_diff_test.cpp for the invariants.
+// fuzzer. It covers the whole language the engines run: helper classes
+// with instance and static fields (with and without initializers),
+// constructors, instance/static/self calls, ternaries, && / || / !,
+// local/field/array/static stores (plain, compound and ++/--), for and
+// while loops with break/continue, switch, try/catch/finally, throw, and
+// exceptions raised by division, array bounds and helper methods — also
+// across frames and through finally blocks. Every program terminates: loops
+// are bounded, the call graph is acyclic, and risky operations appear only
+// where an enclosing catch clause handles them. See tests/fuzz_diff_test.cpp
+// for the invariants checked on every program.
 #pragma once
 
 #include <cstdint>
@@ -23,10 +22,9 @@ struct GeneratedProgram {
 };
 
 /// Deterministically expand `seed` into a program: same seed, same bytes.
-/// Programs contain 1-3 helper classes (int fields, statics, instance and
-/// static methods with acyclic call edges), bounded loops, object/array
-/// churn, and a final printed checksum so divergence surfaces in stdout
-/// as well as in the energy ledger.
+/// Programs contain 1-3 helper classes, bounded loops, object/array churn,
+/// and a final printed checksum so divergence surfaces in stdout as well as
+/// in the energy ledger.
 GeneratedProgram generateProgram(std::uint64_t seed);
 
 }  // namespace jepo::testgen

@@ -142,16 +142,11 @@ TEST(TierGate, SampledCountsAndAnchorsFirstInvocation) {
   const jvm::MethodRef m{3, &name};
   jvm::TierGate gate(jvm::parseTierSpec("sampled:4"), /*seed=*/9);
 
-  // peek never commits: repeated peeks agree with the eventual enter.
-  const bool first = gate.peekAdmit(m);
-  EXPECT_EQ(gate.peekAdmit(m), first);
   EXPECT_TRUE(gate.enter(m)) << "first invocation is always instrumented";
 
   std::uint64_t instrumented = 1;
   for (int i = 1; i < 16; ++i) {
-    const bool peek = gate.peekAdmit(m);
     const bool admit = gate.enter(m);
-    EXPECT_EQ(peek, admit);
     if (admit) {
       ++instrumented;
     } else {
