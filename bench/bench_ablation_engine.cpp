@@ -1,4 +1,4 @@
-// Ablation: execution-engine choice (DESIGN.md §5.3). Runs the demo
+// Ablation: execution-engine choice (DESIGN.md §6, item 3). Runs the demo
 // pipeline and a set of kernels, instrumented, on both engines — the
 // tree-walking interpreter (the oracle) and the bytecode VM that serves
 // every profile job — and reports host-side interpretation time. It is

@@ -9,15 +9,12 @@
 #include "energy/machine.hpp"
 #include "jepo/optimizer.hpp"
 #include "jlang/parser.hpp"
-#include "jvm/interpreter.hpp"
 
 namespace {
 
 double runPackageJoules(const jepo::jlang::Program& prog) {
   jepo::energy::SimMachine machine;
-  jepo::jvm::Interpreter interp(prog, machine);
-  interp.setMaxSteps(50'000'000);
-  interp.runMain();
+  jepo::bench::runOnVm(prog, machine, 50'000'000);
   return machine.sample().packageJoules;
 }
 

@@ -1,6 +1,7 @@
 // Shared utilities for the bench binaries: a strict --key=value flag
 // parser, the paper-vs-measured table header every reproduction bench
-// prints, and BenchReport — the common machine-readable artifact
+// prints, runOnVm — how the benches execute MiniJava outside the
+// profiler — and BenchReport, the common machine-readable artifact
 // ({bench, config, rows[], wallMs, counters{}}) every bench emits with
 // --json=<path> for CI's smoke-bench step.
 #pragma once
@@ -14,7 +15,12 @@
 #include <utility>
 #include <vector>
 
+#include "energy/machine.hpp"
 #include "fault/fault.hpp"
+#include "jbc/bcvm.hpp"
+#include "jbc/compiler.hpp"
+#include "jlang/ast.hpp"
+#include "jvm/engine.hpp"
 #include "obs/obs.hpp"
 #include "obs/registry.hpp"
 #include "support/json_writer.hpp"
@@ -113,6 +119,21 @@ inline std::optional<fault::FaultSpec> faultSpecFromFlags(
     std::fprintf(stderr, "--fault-plan: %s\n", e.what());
     std::exit(2);
   }
+}
+
+/// Compile `program` and run its main on the bytecode VM — the engine every
+/// profile job runs on — charging `machine`, with optional method hooks
+/// (an Instrumenter, say). Returns what the program printed.
+inline std::string runOnVm(const jlang::Program& program,
+                           energy::SimMachine& machine,
+                           std::uint64_t maxSteps,
+                           jvm::MethodHooks* hooks = nullptr) {
+  const jbc::CompiledProgram compiled = jbc::compile(program);
+  jbc::BytecodeVm vm(compiled, machine);
+  vm.setHooks(hooks);
+  vm.setMaxSteps(maxSteps);
+  vm.runMain();
+  return vm.output();
 }
 
 inline void printHeader(const std::string& title) {

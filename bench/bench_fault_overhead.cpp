@@ -22,7 +22,6 @@
 
 #include "energy/machine.hpp"
 #include "jlang/parser.hpp"
-#include "jvm/interpreter.hpp"
 #include "perf/perf.hpp"
 #include "rapl/rapl.hpp"
 
@@ -100,9 +99,7 @@ int main(int argc, char** argv) {
   const perf::PerfRunner runner = perf::PerfRunner::exact();
   const energy::CostModel model = energy::CostModel::calibrated();
   const auto workload = [&prog](energy::SimMachine& machine) {
-    jvm::Interpreter interp(prog, machine);
-    interp.setMaxSteps(500'000'000);
-    interp.runMain();
+    bench::runOnVm(prog, machine, 500'000'000);
   };
   std::vector<double> statTimes;
   for (int r = 0; r < reps; ++r) {

@@ -11,7 +11,6 @@
 #include "jepo/views.hpp"
 #include "jlang/parser.hpp"
 #include "jlang/printer.hpp"
-#include "jvm/interpreter.hpp"
 
 namespace {
 
@@ -22,10 +21,8 @@ struct RunResult {
 
 RunResult run(const jepo::jlang::Program& prog) {
   jepo::energy::SimMachine machine;
-  jepo::jvm::Interpreter interp(prog, machine);
-  interp.setMaxSteps(50'000'000);
-  interp.runMain();
-  return {interp.output(), machine.sample().packageJoules};
+  std::string output = jepo::bench::runOnVm(prog, machine, 50'000'000);
+  return {std::move(output), machine.sample().packageJoules};
 }
 
 }  // namespace

@@ -1,12 +1,11 @@
-// GC pause/throughput bench: runs the churn workload on both engines
+// GC pause/throughput bench: runs the churn workload on the bytecode VM
 // across a sweep of heap limits (0 = never collect, then progressively
 // tighter) and reports wall time per run, collection counts, reclamation
 // totals and pause statistics in the common BenchReport schema.
 //
 // The headline claims this pins down:
 //   - the collector's cost is host-time only (simulated joules identical
-//     across every row of the same engine — asserted here, not just in
-//     tests);
+//     across every row — asserted here, not just in tests);
 //   - tighter limits trade more, shorter collections for a smaller
 //     resident heap, with per-run wall time staying in the same decade.
 //
@@ -16,7 +15,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -26,7 +24,6 @@
 #include "jbc/compiler.hpp"
 #include "jlang/parser.hpp"
 #include "jvm/gc.hpp"
-#include "jvm/interpreter.hpp"
 
 namespace {
 
@@ -69,38 +66,25 @@ struct GcRun {
   std::size_t liveAtExit = 0;
 };
 
-template <typename Engine>
-GcRun measure(Engine& engine, energy::SimMachine& machine) {
-  GcRun r;
-  const auto t0 = std::chrono::steady_clock::now();
-  engine.runMain();
-  r.seconds = std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count();
-  r.simJoules = machine.sample().packageJoules;
-  r.collections = engine.gc().collections();
-  r.objectsReclaimed = engine.gc().objectsReclaimed();
-  r.bytesReclaimed = engine.gc().bytesReclaimed();
-  r.totalPauseNs = engine.gc().totalPauseNs();
-  r.maxPauseNs = engine.gc().maxPauseNs();
-  r.liveAtExit = engine.heap().size();
-  return r;
-}
-
-GcRun runTree(const jlang::Program& prog, std::size_t heapLimit) {
-  energy::SimMachine machine;
-  jvm::Interpreter interp(prog, machine);
-  interp.setHeapLimit(heapLimit);
-  interp.setMaxSteps(500'000'000);
-  return measure(interp, machine);
-}
-
 GcRun runBcvm(const jbc::CompiledProgram& compiled, std::size_t heapLimit) {
   energy::SimMachine machine;
   jbc::BytecodeVm vm(compiled, machine);
   vm.setHeapLimit(heapLimit);
   vm.setMaxSteps(500'000'000);
-  return measure(vm, machine);
+  GcRun r;
+  const auto t0 = std::chrono::steady_clock::now();
+  vm.runMain();
+  r.seconds = std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count();
+  r.simJoules = machine.sample().packageJoules;
+  r.collections = vm.gc().collections();
+  r.objectsReclaimed = vm.gc().objectsReclaimed();
+  r.bytesReclaimed = vm.gc().bytesReclaimed();
+  r.totalPauseNs = vm.gc().totalPauseNs();
+  r.maxPauseNs = vm.gc().maxPauseNs();
+  r.liveAtExit = vm.heap().size();
+  return r;
 }
 
 }  // namespace
@@ -121,57 +105,47 @@ int main(int argc, char** argv) {
   const std::size_t limits[] = {0, 4096, 1024, 256};
 
   bench::printHeader("bench_gc — mark-compact pause/throughput");
-  std::printf("%-6s %-9s %12s %6s %12s %12s %12s %10s\n", "engine", "limit",
-              "sec/run", "gcs", "objsFreed", "pauseNsTot", "pauseNsMax",
-              "liveAtExit");
+  std::printf("%-9s %12s %6s %12s %12s %12s %10s\n", "limit", "sec/run",
+              "gcs", "objsFreed", "pauseNsTot", "pauseNsMax", "liveAtExit");
 
   int status = 0;
-  for (const char* engine : {"tree", "bcvm"}) {
-    double unlimitedJoules = 0.0;
-    for (const std::size_t limit : limits) {
-      // Best-of-N wall time; the GC statistics are identical across
-      // repetitions because collection points are deterministic.
-      GcRun best;
-      for (long r = 0; r < runs; ++r) {
-        const GcRun run = std::strcmp(engine, "tree") == 0
-                              ? runTree(prog, limit)
-                              : runBcvm(compiled, limit);
-        if (r == 0 || run.seconds < best.seconds) best = run;
-      }
-      if (limit == 0) {
-        unlimitedJoules = best.simJoules;
-      } else if (best.simJoules != unlimitedJoules) {
-        // The collector's core contract, enforced even in the bench.
-        std::fprintf(stderr,
-                     "%s: simulated joules changed under heap limit %zu\n",
-                     engine, limit);
-        status = 1;
-      }
-      const std::string name =
-          std::string(engine) + "/limit=" + std::to_string(limit);
-      std::printf("%-6s %-9zu %12.3e %6llu %12llu %12llu %12llu %10zu\n",
-                  engine, limit, best.seconds,
-                  static_cast<unsigned long long>(best.collections),
-                  static_cast<unsigned long long>(best.objectsReclaimed),
-                  static_cast<unsigned long long>(best.totalPauseNs),
-                  static_cast<unsigned long long>(best.maxPauseNs),
-                  best.liveAtExit);
-      report.addRow({{"name", name},
-                     {"realSecondsPerIter", best.seconds},
-                     {"simPackageJoules", best.simJoules},
-                     {"collections",
-                      static_cast<long long>(best.collections)},
-                     {"objectsReclaimed",
-                      static_cast<long long>(best.objectsReclaimed)},
-                     {"bytesReclaimed",
-                      static_cast<long long>(best.bytesReclaimed)},
-                     {"gcPauseNsTotal",
-                      static_cast<long long>(best.totalPauseNs)},
-                     {"gcPauseNsMax",
-                      static_cast<long long>(best.maxPauseNs)},
-                     {"liveObjectsAtExit",
-                      static_cast<long long>(best.liveAtExit)}});
+  double unlimitedJoules = 0.0;
+  for (const std::size_t limit : limits) {
+    // Best-of-N wall time; the GC statistics are identical across
+    // repetitions because collection points are deterministic.
+    GcRun best;
+    for (long r = 0; r < runs; ++r) {
+      const GcRun run = runBcvm(compiled, limit);
+      if (r == 0 || run.seconds < best.seconds) best = run;
     }
+    if (limit == 0) {
+      unlimitedJoules = best.simJoules;
+    } else if (best.simJoules != unlimitedJoules) {
+      // The collector's core contract, enforced even in the bench.
+      std::fprintf(stderr, "simulated joules changed under heap limit %zu\n",
+                   limit);
+      status = 1;
+    }
+    std::printf("%-9zu %12.3e %6llu %12llu %12llu %12llu %10zu\n", limit,
+                best.seconds,
+                static_cast<unsigned long long>(best.collections),
+                static_cast<unsigned long long>(best.objectsReclaimed),
+                static_cast<unsigned long long>(best.totalPauseNs),
+                static_cast<unsigned long long>(best.maxPauseNs),
+                best.liveAtExit);
+    report.addRow({{"name", "bcvm/limit=" + std::to_string(limit)},
+                   {"realSecondsPerIter", best.seconds},
+                   {"simPackageJoules", best.simJoules},
+                   {"collections", static_cast<long long>(best.collections)},
+                   {"objectsReclaimed",
+                    static_cast<long long>(best.objectsReclaimed)},
+                   {"bytesReclaimed",
+                    static_cast<long long>(best.bytesReclaimed)},
+                   {"gcPauseNsTotal",
+                    static_cast<long long>(best.totalPauseNs)},
+                   {"gcPauseNsMax", static_cast<long long>(best.maxPauseNs)},
+                   {"liveObjectsAtExit",
+                    static_cast<long long>(best.liveAtExit)}});
   }
 
   const int reportStatus = report.finish();

@@ -7,25 +7,13 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <functional>
-#include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
 
 namespace jepo::bench {
-
-/// One completed gbench run, kept for post-processing (baseline and
-/// engine-pair ratio rows) after RunSpecifiedBenchmarks returns.
-struct CapturedRun {
-  std::string name;
-  double realSecondsPerIter = 0.0;
-};
 
 /// ConsoleReporter that mirrors each per-iteration run into the report as
 /// {name, iterations, realSecondsPerIter, cpuSecondsPerIter}.
@@ -38,56 +26,22 @@ class CapturingReporter : public benchmark::ConsoleReporter {
       if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
       const double iters =
           run.iterations > 0 ? static_cast<double>(run.iterations) : 1.0;
-      const double realPerIter = run.real_accumulated_time / iters;
       report_->addRow(
           {{"name", run.benchmark_name()},
            {"iterations", static_cast<long long>(run.iterations)},
-           {"realSecondsPerIter", realPerIter},
+           {"realSecondsPerIter", run.real_accumulated_time / iters},
            {"cpuSecondsPerIter", run.cpu_accumulated_time / iters}});
-      captured_.push_back({run.benchmark_name(), realPerIter});
     }
     benchmark::ConsoleReporter::ReportRuns(runs);
   }
 
-  const std::vector<CapturedRun>& captured() const noexcept {
-    return captured_;
-  }
-
  private:
   BenchReport* report_;
-  std::vector<CapturedRun> captured_;
 };
-
-/// Baseline file: `<name> <realSecondsPerIter>` per line, '#' comments.
-/// Returns rows in file order; empty when the file is missing/unreadable.
-inline std::vector<CapturedRun> loadSeedBaseline(const std::string& path) {
-  std::vector<CapturedRun> rows;
-  std::ifstream in(path);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
-    CapturedRun row;
-    if (fields >> row.name >> row.realSecondsPerIter) {
-      rows.push_back(std::move(row));
-    }
-  }
-  return rows;
-}
-
-/// Post-RunSpecifiedBenchmarks hook: add derived rows (ratios, pairings)
-/// to the report from the captured per-benchmark timings.
-using MicroPostProcess =
-    std::function<void(BenchReport&, const std::vector<CapturedRun>&)>;
 
 /// The micro suites' main body. --runs is accepted (CI invokes every bench
 /// uniformly with --runs=1) but iteration counts stay gbench's decision.
-/// When a seed baseline is given (--seed-baseline=<path>, or the suite's
-/// default), each benchmark present in the baseline gains a "<name>/vs-seed"
-/// row carrying speedupVsSeed = seed time / current time.
-inline int microMain(const std::string& benchName, int argc, char** argv,
-                     const std::string& defaultSeedBaseline = {},
-                     const MicroPostProcess& postProcess = {}) {
+inline int microMain(const std::string& benchName, int argc, char** argv) {
   std::vector<char*> gbenchArgs = {argv[0]};
   std::vector<char*> jepoArgs = {argv[0]};
   for (int i = 1; i < argc; ++i) {
@@ -97,8 +51,7 @@ inline int microMain(const std::string& benchName, int argc, char** argv,
       jepoArgs.push_back(argv[i]);
     }
   }
-  Flags flags(static_cast<int>(jepoArgs.size()), jepoArgs.data(),
-              {"seed-baseline"});
+  Flags flags(static_cast<int>(jepoArgs.size()), jepoArgs.data());
   BenchReport report(benchName, flags);
 
   int gbenchArgc = static_cast<int>(gbenchArgs.size());
@@ -111,37 +64,6 @@ inline int microMain(const std::string& benchName, int argc, char** argv,
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
 
-  const std::string baselinePath =
-      flags.get("seed-baseline", defaultSeedBaseline);
-  if (!baselinePath.empty()) {
-    const std::vector<CapturedRun> baseline = loadSeedBaseline(baselinePath);
-    if (baseline.empty()) {
-      std::fprintf(stderr,
-                   "%s: seed baseline %s missing or empty; "
-                   "skipping vs-seed rows\n",
-                   benchName.c_str(), baselinePath.c_str());
-    } else {
-      std::printf("\n-- vs seed baseline (%s) --\n", baselinePath.c_str());
-      for (const CapturedRun& seed : baseline) {
-        for (const CapturedRun& now : reporter.captured()) {
-          if (now.name != seed.name || now.realSecondsPerIter <= 0.0) {
-            continue;
-          }
-          const double speedup =
-              seed.realSecondsPerIter / now.realSecondsPerIter;
-          report.addRow({{"name", seed.name + "/vs-seed"},
-                         {"seedSecondsPerIter", seed.realSecondsPerIter},
-                         {"realSecondsPerIter", now.realSecondsPerIter},
-                         {"speedupVsSeed", speedup}});
-          std::printf("%-36s seed=%.3e now=%.3e speedup=%.2fx\n",
-                      seed.name.c_str(), seed.realSecondsPerIter,
-                      now.realSecondsPerIter, speedup);
-          break;
-        }
-      }
-    }
-  }
-  if (postProcess) postProcess(report, reporter.captured());
   return report.finish();
 }
 

@@ -1,4 +1,5 @@
-// Observability overhead: what the obs layer costs the VM hot path.
+// Observability overhead: what the obs layer costs the bytecode VM's hot
+// path.
 //
 // Two numbers matter. (1) Tracing DISABLED — the default for every
 // experiment — where each instrumented site pays one relaxed atomic load
@@ -18,7 +19,6 @@
 
 #include "energy/machine.hpp"
 #include "jlang/parser.hpp"
-#include "jvm/interpreter.hpp"
 #include "jvm/instrumenter.hpp"
 #include "obs/span.hpp"
 
@@ -29,11 +29,9 @@ using namespace jepo;
 double runWorkloadSeconds(const jlang::Program& prog) {
   const auto t0 = std::chrono::steady_clock::now();
   energy::SimMachine machine;
-  jvm::Interpreter interp(prog, machine);
   jvm::Instrumenter inst(machine);
-  interp.setHooks(&inst);  // the method enter/exit seam = the span sites
-  interp.setMaxSteps(500'000'000);
-  interp.runMain();
+  // The method enter/exit seam = the span sites.
+  bench::runOnVm(prog, machine, 500'000'000, &inst);
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
 }
@@ -45,7 +43,7 @@ double median(std::vector<double> v) {
 
 /// Nanoseconds per disabled span site: construct + destruct a Span while
 /// enabled() is false, i.e. the relaxed load + branch both benches and the
-/// interpreter pay per method call when nobody asked for a trace.
+/// VM pay per method call when nobody asked for a trace.
 double disabledGateNanos() {
   constexpr int kIters = 2'000'000;
   const auto t0 = std::chrono::steady_clock::now();

@@ -6,7 +6,6 @@
 #include "bench_common.hpp"
 
 #include "jlang/parser.hpp"
-#include "jvm/interpreter.hpp"
 #include "perf/perf.hpp"
 
 namespace {
@@ -143,14 +142,12 @@ struct RunOutcome {
 };
 
 RunOutcome runProgram(const std::string& source) {
-  jlang::Program prog = jlang::Parser::parseProgram("bench.mjava", source);
+  const jlang::Program prog =
+      jlang::Parser::parseProgram("bench.mjava", source);
   RunOutcome out;
   perf::PerfRunner runner = perf::PerfRunner::exact();
   const perf::PerfStat stat = runner.stat([&](energy::SimMachine& machine) {
-    jvm::Interpreter interp(prog, machine);
-    interp.setMaxSteps(500'000'000);
-    interp.runMain();
-    out.output = interp.output();
+    out.output = bench::runOnVm(prog, machine, 500'000'000);
   });
   out.packageJoules = stat.packageJoules;
   return out;

@@ -6,11 +6,12 @@
 //   kernel  — a synthetic call-heavy kernel (two trivial methods invoked
 //             hundreds of thousands of times; per-call hook cost dominates)
 //
-// For each workload the bench times an uninstrumented run (no hooks at
-// all), a full-tier profile (the seed behaviour: every call instrumented),
-// sampled:N for each requested rate, and hot:T. Per-method package-joule
-// attribution from each tier's count-weighted extrapolation is compared
-// against the full tier's ground truth:
+// For each workload the bench times an uninstrumented run (the same
+// compile and bytecode VM run as a profile, with no hooks at all), a
+// full-tier profile (every call instrumented), sampled:N for each
+// requested rate, and hot:T. Per-method package-joule attribution from
+// each tier's count-weighted extrapolation is compared against the full
+// tier's ground truth:
 //
 //   attribErrorPct = sum_m |est(m) - truth(m)| / sum_m truth(m) * 100
 //
@@ -18,6 +19,10 @@
 // roughly linearly in the sampling rate while attribution error stays
 // bounded, so sampled:64 buys near-uninstrumented speed at a few percent
 // error. Timings are best-of---runs to shed scheduler noise.
+//
+// The bench exits 1 unless the kernel's acceptance bar holds: full-tier
+// overhead is positive and sampled at the coarsest rate sheds at least 5x
+// of it.
 //
 // Flags:
 //   --rates=<n,n,..>   sampled:N rates to sweep (default 4,16,64)
@@ -39,7 +44,6 @@
 #include "energy/machine.hpp"
 #include "jepo/profiler.hpp"
 #include "jlang/parser.hpp"
-#include "jvm/interpreter.hpp"
 #include "jvm/tier.hpp"
 
 namespace {
@@ -100,9 +104,7 @@ double timeUninstrumented(const jlang::Program& program, std::uint64_t steps,
   for (int i = 0; i < runs; ++i) {
     const auto t0 = std::chrono::steady_clock::now();
     energy::SimMachine machine;
-    jvm::Interpreter interp(program, machine);
-    interp.setMaxSteps(steps);
-    interp.runMain({});
+    bench::runOnVm(program, machine, steps);
     const double s = secondsSince(t0);
     if (i == 0 || s < best) best = s;
   }
@@ -238,13 +240,9 @@ int main(int argc, char** argv) {
     }
 
     std::map<std::string, core::MethodTotals> truth;
-    double fullSeconds = 0.0;
     for (const auto& [label, spec] : specs) {
       const TierRun run = runTier(w.program, spec, maxSteps, seed, runs);
-      if (spec.tier == jvm::InstrTier::kFull) {
-        truth = run.totals;
-        fullSeconds = run.seconds;
-      }
+      if (spec.tier == jvm::InstrTier::kFull) truth = run.totals;
       const double errPct = attribErrorPct(truth, run.totals);
       const double overheadPct = (run.seconds / bare - 1.0) * 100.0;
       const double samplingRate =
@@ -273,7 +271,6 @@ int main(int argc, char** argv) {
         }
       }
     }
-    (void)fullSeconds;
     bench::printHeader("Workload: " + w.name);
     std::fputs(table.render().c_str(), stdout);
     std::fputs("\n", stdout);
@@ -297,5 +294,19 @@ int main(int argc, char** argv) {
       "\nShape checks: full tier is the zero-error baseline; attribution\n"
       "error shrinks as the sampling rate approaches 1; the coarsest rate\n"
       "runs near uninstrumented speed on the call-heavy kernel.");
-  return report.finish();
+  const int status = report.finish();
+  if (kernelFullOverhead <= 0.0) {
+    std::fprintf(stderr,
+                 "FAIL: kernel full-tier overhead %.2f ms is not positive\n",
+                 kernelFullOverhead * 1e3);
+    return 1;
+  }
+  if (reduction < 5.0) {
+    std::fprintf(stderr,
+                 "FAIL: kernel overhead reduction %.1fx at sampled:%llu is "
+                 "below 5x\n",
+                 reduction, static_cast<unsigned long long>(coarsestRate));
+    return 1;
+  }
+  return status;
 }

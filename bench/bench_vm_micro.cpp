@@ -1,6 +1,6 @@
 // google-benchmark micro suite for the MiniJava toolchain: lexing, parsing,
-// printing, interpretation throughput, suggestion analysis and the
-// optimizer — the costs a JEPO user pays per keystroke / per run.
+// printing, bytecode VM throughput, suggestion analysis and the optimizer —
+// the costs a JEPO user pays per keystroke / per run.
 #include <benchmark/benchmark.h>
 
 #include "bench_micro.hpp"
@@ -14,7 +14,6 @@
 #include "jlang/parser.hpp"
 #include "jlang/printer.hpp"
 #include "jvm/gc.hpp"
-#include "jvm/interpreter.hpp"
 
 namespace {
 
@@ -88,20 +87,6 @@ void BM_Print(benchmark::State& state) {
 }
 BENCHMARK(BM_Print);
 
-void BM_InterpretArithmeticLoop(benchmark::State& state) {
-  const long n = state.range(0);
-  const jlang::Program prog =
-      jlang::Parser::parseProgram("m.mjava", arithmeticLoopSource(n));
-  for (auto _ : state) {
-    energy::SimMachine machine;
-    jvm::Interpreter interp(prog, machine);
-    interp.runMain();
-    benchmark::DoNotOptimize(machine.sample().packageJoules);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
-}
-BENCHMARK(BM_InterpretArithmeticLoop)->Arg(1000)->Arg(10000);
-
 void BM_BcvmArithmeticLoop(benchmark::State& state) {
   const long n = state.range(0);
   const jlang::Program prog =
@@ -117,19 +102,6 @@ void BM_BcvmArithmeticLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_BcvmArithmeticLoop)->Arg(1000)->Arg(10000);
 
-void BM_InterpretMethodCalls(benchmark::State& state) {
-  const jlang::Program prog =
-      jlang::Parser::parseProgram("m.mjava", kMethodCallsSource);
-  for (auto _ : state) {
-    energy::SimMachine machine;
-    jvm::Interpreter interp(prog, machine);
-    interp.runMain();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          2000);
-}
-BENCHMARK(BM_InterpretMethodCalls);
-
 void BM_BcvmMethodCalls(benchmark::State& state) {
   const jlang::Program prog =
       jlang::Parser::parseProgram("m.mjava", kMethodCallsSource);
@@ -143,19 +115,6 @@ void BM_BcvmMethodCalls(benchmark::State& state) {
                           2000);
 }
 BENCHMARK(BM_BcvmMethodCalls);
-
-void BM_InterpretObjectsAndCalls(benchmark::State& state) {
-  const jlang::Program prog =
-      jlang::Parser::parseProgram("m.mjava", kObjectsAndCallsSource);
-  for (auto _ : state) {
-    energy::SimMachine machine;
-    jvm::Interpreter interp(prog, machine);
-    interp.runMain();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          1000);
-}
-BENCHMARK(BM_InterpretObjectsAndCalls);
 
 void BM_BcvmObjectsAndCalls(benchmark::State& state) {
   const jlang::Program prog =
@@ -196,21 +155,6 @@ const char* const kHeapChurnSource = R"(
       }
     }
   )";
-
-void BM_InterpretHeapChurn(benchmark::State& state) {
-  const jlang::Program prog =
-      jlang::Parser::parseProgram("m.mjava", kHeapChurnSource);
-  for (auto _ : state) {
-    energy::SimMachine machine;
-    jvm::Interpreter interp(prog, machine);
-    interp.setHeapLimit(1024);
-    interp.runMain();
-    benchmark::DoNotOptimize(interp.gc().collections());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          2000);
-}
-BENCHMARK(BM_InterpretHeapChurn);
 
 void BM_BcvmHeapChurn(benchmark::State& state) {
   const jlang::Program prog =
@@ -265,39 +209,5 @@ BENCHMARK(BM_MeterChargeOverhead);
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Derived engine-pair rows: for every BM_Interpret<X> with a BM_Bcvm<X>
-  // sibling, record the tree-interpreter / bytecode-VM wall-time ratio.
-  const auto enginePairs = [](jepo::bench::BenchReport& report,
-                              const std::vector<jepo::bench::CapturedRun>&
-                                  runs) {
-    const std::string treePrefix = "BM_Interpret";
-    const std::string bcvmPrefix = "BM_Bcvm";
-    bool first = true;
-    for (const auto& tree : runs) {
-      if (tree.name.compare(0, treePrefix.size(), treePrefix) != 0) continue;
-      const std::string suffix = tree.name.substr(treePrefix.size());
-      for (const auto& bcvm : runs) {
-        if (bcvm.name != bcvmPrefix + suffix ||
-            bcvm.realSecondsPerIter <= 0.0) {
-          continue;
-        }
-        const double ratio = tree.realSecondsPerIter / bcvm.realSecondsPerIter;
-        report.addRow({{"name", "EnginePair/" + suffix},
-                       {"treeSecondsPerIter", tree.realSecondsPerIter},
-                       {"bcvmSecondsPerIter", bcvm.realSecondsPerIter},
-                       {"speedupBcvmOverTree", ratio}});
-        if (first) {
-          std::printf("\n-- tree interpreter vs bytecode VM --\n");
-          first = false;
-        }
-        std::printf("%-36s tree=%.3e bcvm=%.3e bcvm speedup=%.2fx\n",
-                    suffix.c_str(), tree.realSecondsPerIter,
-                    bcvm.realSecondsPerIter, ratio);
-        break;
-      }
-    }
-  };
-  return jepo::bench::microMain("bench_vm_micro", argc, argv,
-                                "bench/baselines/vm_micro_seed.txt",
-                                enginePairs);
+  return jepo::bench::microMain("bench_vm_micro", argc, argv);
 }

@@ -7,14 +7,13 @@
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
 
-// Dispatch strategy. Computed goto ("labels as values", a GNU extension
-// GCC and Clang both support) keeps one indirect branch per opcode handler,
-// so the host branch predictor learns per-opcode successor patterns instead
-// of sharing one mispredicting switch branch. -DJEPO_NO_COMPUTED_GOTO (or a
-// different compiler) selects a portable switch loop over the exact same
-// handler bodies; both paths are built in CI.
-#if !defined(JEPO_NO_COMPUTED_GOTO) && (defined(__GNUC__) || defined(__clang__))
-#define JEPO_COMPUTED_GOTO 1
+// Dispatch is direct-threaded: computed goto ("labels as values", a GNU
+// extension GCC and Clang both support) keeps one indirect branch per
+// opcode handler, so the host branch predictor learns per-opcode successor
+// patterns instead of sharing one mispredicting switch branch. The build
+// supports GCC and Clang only.
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "the bytecode VM needs labels as values (GCC or Clang)"
 #endif
 
 namespace jepo::jbc {
@@ -40,13 +39,8 @@ void flushVmCounters(std::uint64_t stepsDelta, std::size_t heapDelta) {
   heapObjects.add(heapDelta);
 }
 
-#if defined(__GNUC__) || defined(__clang__)
 #define JEPO_FORCE_INLINE __attribute__((always_inline)) inline
 #define JEPO_LAMBDA_INLINE __attribute__((always_inline))
-#else
-#define JEPO_FORCE_INLINE inline
-#define JEPO_LAMBDA_INLINE
-#endif
 
 /// int×int binary fast path, bit-exact with applyBinary (ops.cpp): for two
 /// kInt operands unboxIfNeeded is the identity and charges nothing, there
@@ -138,11 +132,7 @@ struct DepthGuard {
   ~DepthGuard() { --*depth; }
 };
 
-#if defined(__GNUC__) || defined(__clang__)
 #define JEPO_COLD __attribute__((noinline, cold))
-#else
-#define JEPO_COLD
-#endif
 
 template <typename Piece>
 void appendPiece(std::string& message, const Piece& piece) {
@@ -601,17 +591,12 @@ void BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
     }                                                                 \
   } while (0)
 
-#ifdef JEPO_COMPUTED_GOTO
 #define VM_CASE(op) L_##op:
 #define VM_DISPATCH()                                                \
   do {                                                               \
     VM_TOP();                                                        \
     goto* kLabels[static_cast<std::size_t>(ip->op)];                 \
   } while (0)
-#else
-#define VM_CASE(op) case Op::op:
-#define VM_DISPATCH() goto jepoDispatchTop
-#endif
 #define VM_NEXT()                                                    \
   do {                                                               \
     ++ip;                                                            \
@@ -623,7 +608,6 @@ void BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
     VM_DISPATCH();                                                   \
   } while (0)
 
-#ifdef JEPO_COMPUTED_GOTO
   // Must list every Op in exact enum order (dispatch indexes by opcode).
   static const void* const kLabels[] = {
       &&L_kStep, &&L_kCharge,
@@ -654,17 +638,10 @@ void BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
   static_assert(sizeof(kLabels) / sizeof(kLabels[0]) ==
                     static_cast<std::size_t>(Op::kCmpLoopHead) + 1,
                 "label table must cover every opcode");
-#endif
 
   for (;;) {
     try {
-#ifdef JEPO_COMPUTED_GOTO
       VM_DISPATCH();
-#else
-    jepoDispatchTop:
-      VM_TOP();
-      switch (ip->op) {
-#endif
 
       VM_CASE(kStep) { VM_NEXT(); }
       VM_CASE(kCharge) {
@@ -1176,10 +1153,14 @@ void BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
         return;
       }
       VM_CASE(kSetRet) {
-        retVal_ = ip->b != 0 ? Value::null() : pop();
+        slots[static_cast<std::size_t>(ip->a)] =
+            ip->b != 0 ? Value::null() : pop();
         VM_NEXT();
       }
-      VM_CASE(kRet) { return; }
+      VM_CASE(kRet) {
+        if (ip->b != 0) retVal_ = slots[static_cast<std::size_t>(ip->a)];
+        return;
+      }
       VM_CASE(kEscape) {
         charge(energy::Op::kReturn);
         raiseVmError(name(ip->a));
@@ -1347,11 +1328,6 @@ void BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
         if ((ip->f & 2) != 0) charge(energy::Op::kLoopIter);
         VM_NEXT();
       }
-
-#ifndef JEPO_COMPUTED_GOTO
-      }
-      JEPO_ASSERT(false);  // every opcode's case transfers control
-#endif
     } catch (const Thrown& thrown) {
       // Exception table search, in declaration order. `ip` still addresses
       // the throwing instruction, and a fused run never straddles a

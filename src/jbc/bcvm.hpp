@@ -5,14 +5,14 @@
 // plugs into either engine), and reproduces the tree's event sequence
 // exactly: the same steps, meter charges, onEnter/onExit hooks, printed
 // bytes, heap-allocation order and error texts (code.hpp explains how the
-// compiler lays those out). The tree interpreter stays in the tree as the
-// oracle the tests compare against.
+// compiler lays those out). The tree interpreter (jepo_tree_oracle) is
+// the oracle the tests compare against.
 //
-// The inner loop is direct-threaded (computed goto) on GCC/Clang with a
-// portable switch fallback (-DJEPO_NO_COMPUTED_GOTO) and executes the
-// compiler's superinstructions, which take their constituents' steps at
-// the same points the tree does; every point that takes steps checks the
-// step limit and the cancel token, as the tree's step() does.
+// The inner loop is direct-threaded (computed goto, GCC/Clang) and
+// executes the compiler's superinstructions, which take their
+// constituents' steps at the same points the tree does; every point that
+// takes steps checks the step limit and the cancel token, as the tree's
+// step() does.
 #pragma once
 
 #include <memory>

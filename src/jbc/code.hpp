@@ -136,9 +136,10 @@ enum class Op : std::uint8_t {
   // call's return value stays in it until the next return overwrites it.
   kReturnValue,  // pops v: register = v; return
   kReturnVoid,   // register = null; return
-  kSetRet,       // b=0: pops v into the register; b=1: register = null
-                 // (a return crossing finally blocks)
-  kRet,          // return the register (fall-off end / after finallys)
+  kSetRet,       // a = slot: a return crossing finally blocks parks its
+                 // value there, uncharged (b=0: pops v; b=1: null)
+  kRet,          // return the register (fall-off end); b=1: register =
+                 // slot a first (after the finallys a return crossed)
   kEscape,       // a -> names: break/continue escaped the method body
                  // (charges kReturn, then the tree's VmError)
 

@@ -116,8 +116,7 @@ class MethodCompiler {
 
 class ProgramCompiler {
  public:
-  ProgramCompiler(const Program& program, const CompileOptions& options)
-      : program_(program), options_(options) {}
+  explicit ProgramCompiler(const Program& program) : program_(program) {}
 
   CompiledProgram run();
 
@@ -145,7 +144,6 @@ class ProgramCompiler {
 
  private:
   const Program& program_;
-  CompileOptions options_;
   CompiledProgram out_;
   std::unordered_map<std::string, int> nameIndex_;
   std::shared_ptr<const jlang::Resolution> res_;
@@ -319,17 +317,18 @@ void MethodCompiler::compileReturn(const Stmt& s) {
     }
     return;
   }
-  // The tree sets its return register, unwinds through the finally
-  // blocks (an abrupt finally wins), then returns whatever the register
-  // holds — a call inside a finally overwrites it, here as there.
+  // The value waits in a temporary, uncharged, while the finally blocks
+  // run (calls inside them overwrite the return register; an abrupt
+  // finally wins), then becomes the register as the method returns.
+  const int pending = newTemp();
   if (s.expr) {
     expr(*s.expr);
-    emit(Op::kSetRet, 0, 0, 0, s.line);
+    emit(Op::kSetRet, pending, 0, 0, s.line);
   } else {
-    emit(Op::kSetRet, 0, 1, 0, s.line);
+    emit(Op::kSetRet, pending, 1, 0, s.line);
   }
   emitFinallyCopies(0);
-  emit(Op::kRet, 0, 0, 0, s.line);
+  emit(Op::kRet, pending, 1, 0, s.line);
 }
 
 void MethodCompiler::compileJump(const Stmt& s, bool isBreak) {
@@ -777,8 +776,7 @@ void MethodCompiler::expr(const Expr& e) {
 // ------------------------------------------------------------ post passes
 //
 // Everything below runs on finished chunks: a max-stack dataflow over the
-// unfused code (always) and the superinstruction peephole (unless
-// disabled via CompileOptions).
+// unfused code, then the superinstruction peephole.
 
 bool isJump(Op op) {
   switch (op) {
@@ -1098,7 +1096,7 @@ CompiledProgram ProgramCompiler::run() {
   }
   const auto finishChunk = [&](Chunk& chunk) {
     computeMaxStack(chunk);
-    if (options_.fuseSuperinstructions) fuseChunk(chunk);
+    fuseChunk(chunk);
     // Compiled programs stay resident in jepod's cache: no growth slack.
     chunk.code.shrink_to_fit();
     chunk.handlers.shrink_to_fit();
@@ -1117,12 +1115,7 @@ CompiledProgram ProgramCompiler::run() {
 }  // namespace
 
 CompiledProgram compile(const Program& program) {
-  return ProgramCompiler(program, CompileOptions{}).run();
-}
-
-CompiledProgram compile(const Program& program,
-                        const CompileOptions& options) {
-  return ProgramCompiler(program, options).run();
+  return ProgramCompiler(program).run();
 }
 
 std::string disassemble(const Chunk& chunk, const CompiledProgram& program) {

@@ -15,19 +15,11 @@
 
 namespace jepo::jbc {
 
-struct CompileOptions {
-  /// Run the peephole pass that fuses hot instruction runs into
-  /// superinstructions (code.hpp). Off keeps one instruction per
-  /// constituent, for A/B benchmarking and for tests that pin unfused
-  /// layouts; both forms produce the same event sequence.
-  bool fuseSuperinstructions = true;
-};
-
 /// Compile a whole program (resolving it first if needed). Names the
 /// resolver could not bind compile to instructions that raise the tree's
 /// error when — and only when — they execute.
+/// Hot instruction runs are fused into superinstructions (code.hpp) that
+/// produce the same event sequence as their constituents.
 CompiledProgram compile(const jlang::Program& program);
-CompiledProgram compile(const jlang::Program& program,
-                        const CompileOptions& options);
 
 }  // namespace jepo::jbc

@@ -4,7 +4,7 @@
 // (parse -> suggest/instrument -> measure) into jobs over a local
 // Unix-domain socket. The substrate is exactly the pieces earlier PRs
 // built: jobs are scheduled on the PR 1 ThreadPool, each job runs on a
-// fresh SimMachine/Interpreter that shares no mutable state with its
+// fresh SimMachine/BytecodeVm that shares no mutable state with its
 // neighbours (PR 4), its heap is bounded per-job via --heap-limit (PR 5),
 // and its fault/RNG streams derive from the per-job seed — so a job's
 // result is bit-identical to the equivalent jepo_cli invocation no matter

@@ -1,6 +1,7 @@
 // BuiltinLibrary — the Java standard-library surface (System, Math, String,
 // StringBuilder, wrapper classes, exception objects), shared by both
-// execution engines: the tree-walking Interpreter and the bytecode VM.
+// execution engines: the bytecode VM and the tree-walking Interpreter (the
+// tests' oracle).
 // All entry points take already-evaluated values; argument evaluation (and
 // its energy) belongs to the engines.
 #pragma once
@@ -15,7 +16,7 @@
 
 namespace jepo::jvm {
 
-struct Thrown;  // defined in interpreter.hpp
+struct Thrown;  // defined in engine.hpp
 
 class BuiltinLibrary {
  public:

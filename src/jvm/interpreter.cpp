@@ -44,22 +44,6 @@ void flushVmCounters(std::uint64_t stepsDelta, std::size_t heapDelta) {
 
 }  // namespace
 
-std::string_view valKindName(ValKind k) noexcept {
-  switch (k) {
-    case ValKind::kNull: return "null";
-    case ValKind::kBool: return "boolean";
-    case ValKind::kByte: return "byte";
-    case ValKind::kShort: return "short";
-    case ValKind::kInt: return "int";
-    case ValKind::kLong: return "long";
-    case ValKind::kChar: return "char";
-    case ValKind::kFloat: return "float";
-    case ValKind::kDouble: return "double";
-    case ValKind::kRef: return "reference";
-  }
-  return "?";
-}
-
 Interpreter::Interpreter(const jlang::Program& program,
                          energy::SimMachine& machine)
     : program_(&program),
@@ -509,9 +493,14 @@ Interpreter::Flow Interpreter::execStmt(const Stmt& s) {
         }
       }
       if (s.finallyBlock) {
+        // A return crossing the finally keeps its value: calls inside the
+        // finally overwrite the return register.
+        Value pendingReturn = returnValue_;
+        Gc::ScopedValue rootReturn(gc_, pendingReturn);
         const Flow finallyFlow = execStmt(*s.finallyBlock);
         // An abrupt finally wins over the pending completion (JLS 14.20.2).
         if (finallyFlow != Flow::kNormal) return finallyFlow;
+        if (flow == Flow::kReturn) returnValue_ = pendingReturn;
       }
       if (rethrow) throw pending;
       return flow;

@@ -8,8 +8,7 @@
 
 #include <cstdint>
 #include <string>
-
-#include "support/error.hpp"
+#include <string_view>
 
 namespace jepo::jvm {
 
@@ -89,26 +88,34 @@ struct Value {
   }
   bool isNumeric() const noexcept { return isIntegral() || isFloating(); }
 
+  // Typed accessors. A program that uses a value as the wrong type (say
+  // `int x = 5; if (x) {}`) raises a VmError naming both types.
   std::int64_t asInt() const {
-    JEPO_REQUIRE(isIntegral() || kind == ValKind::kBool,
-                 "value is not integral");
+    if (!isIntegral() && kind != ValKind::kBool) {
+      raiseTypeError(kind, "an integral value");
+    }
     return i;
   }
   double asDouble() const {
     if (isFloating()) return d;
-    JEPO_REQUIRE(isIntegral(), "value is not numeric");
+    if (!isIntegral()) raiseTypeError(kind, "a numeric value");
     return static_cast<double>(i);
   }
   bool asBool() const {
-    JEPO_REQUIRE(kind == ValKind::kBool, "value is not boolean");
+    if (kind != ValKind::kBool) raiseTypeError(kind, "a boolean");
     return i != 0;
   }
   Ref asRef() const {
-    JEPO_REQUIRE(kind == ValKind::kRef, "value is not a reference");
+    if (kind != ValKind::kRef) raiseTypeError(kind, "a reference");
     return ref;
   }
 
  private:
+  /// Out of line and cold, so the accessors above stay one compare; takes
+  /// the kind by value so no accessor's Value has to live in memory.
+  [[noreturn, gnu::cold]] static void raiseTypeError(ValKind actual,
+                                                     const char* expected);
+
   static Value make(ValKind k, std::int64_t v) {
     Value out;
     out.kind = k;

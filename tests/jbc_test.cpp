@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "energy/machine.hpp"
 #include "jbc/bcvm.hpp"
 #include "jbc/compiler.hpp"
@@ -289,6 +292,31 @@ TEST(Bytecode, ReturnInsideTryRunsFinally) {
     }
   )");
   EXPECT_EQ(runBytecode(prog).output, "cleanup\n1\n");
+}
+
+// A value used as the wrong type is a typed VmError naming both types,
+// with the same text on both engines and no build path in it.
+TEST(Bytecode, TypeConfusionIsTheSameVmErrorOnBothEngines) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"int x = 5; if (x) { System.out.println(1); }",
+       "type error: int value used where a boolean is required"},
+      {"double d = 1.5; int[] a = new int[2]; a[d] = 1;",
+       "type error: double value used where an integral value is required"},
+  };
+  for (const auto& [body, message] : cases) {
+    SCOPED_TRACE(body);
+    const Program prog = Parser::parseProgram("p.mjava", wrapMain(body));
+    const auto errorOf = [](auto&& run) -> std::string {
+      try {
+        run();
+      } catch (const VmError& e) {
+        return e.what();
+      }
+      return "no error";
+    };
+    EXPECT_EQ(errorOf([&] { runTree(prog); }), message);
+    EXPECT_EQ(errorOf([&] { runBytecode(prog); }), message);
+  }
 }
 
 TEST(Bytecode, UncaughtExceptionEscapesRunMain) {

@@ -221,9 +221,7 @@ TEST(EngineCancel, TreeInterpreterUnwindsOnWatcherCancel) {
 // dispatch would hang here.
 TEST(EngineCancel, FusedLoopHeadStaysCancellable) {
   const auto prog = jlang::Parser::parseProgram("spin.mjava", kSpinSource);
-  jbc::CompileOptions opts;
-  opts.fuseSuperinstructions = true;
-  const jbc::CompiledProgram compiled = jbc::compile(prog, opts);
+  const jbc::CompiledProgram compiled = jbc::compile(prog);
   bool sawFusedLoop = false;
   for (const auto& [name, cls] : compiled.classes) {
     const auto it = cls.methods.find("main");
@@ -254,9 +252,7 @@ TEST(EngineCancel, FusedLoopHeadStaysCancellable) {
 
 TEST(EngineCancel, PreArmedTokenAbortsBeforeRealWork) {
   const auto prog = jlang::Parser::parseProgram("spin.mjava", kSpinSource);
-  jbc::CompileOptions opts;
-  opts.fuseSuperinstructions = true;
-  const jbc::CompiledProgram compiled = jbc::compile(prog, opts);
+  const jbc::CompiledProgram compiled = jbc::compile(prog);
   energy::SimMachine machine;
   jbc::BytecodeVm vm(compiled, machine);
   vm.setMaxSteps(0);

@@ -252,6 +252,28 @@ class Main {
   daemon_->waitDrained();
 }
 
+// A type-confused program is a typed runtime error whose text names the
+// types, not a source location inside the daemon's build.
+TEST_F(JepodTest, TypeConfusionIsATypedErrorWithoutBuildPaths) {
+  startDaemon();
+  Client c = connect();
+  const Response r = c.submit(makeRequest("confused", R"(
+class Main {
+  static void main(String[] args) {
+    int x = 5;
+    if (x) { System.out.println(x); }
+  }
+}
+)"));
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.errorCode, "runtime-error");
+  EXPECT_EQ(r.errorMessage,
+            "type error: int value used where a boolean is required");
+  EXPECT_EQ(r.errorMessage.find('/'), std::string::npos) << r.errorMessage;
+  const Response after = c.submit(makeRequest("after", kQuickSource));
+  EXPECT_TRUE(after.ok);
+}
+
 TEST_F(JepodTest, OversizedLineIsRejectedNotBuffered) {
   DaemonConfig cfg;
   cfg.maxLineBytes = 1024;
