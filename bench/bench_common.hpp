@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -142,14 +143,52 @@ inline void printHeader(const std::string& title) {
   std::printf("==================================================\n");
 }
 
+/// The CPU model of the host, from /proc/cpuinfo's first "model name"
+/// line (read-only); "unknown" where the file or the line is absent.
+inline std::string hostCpuModel() {
+  std::FILE* f = std::fopen("/proc/cpuinfo", "r");
+  if (!f) return "unknown";
+  std::string model = "unknown";
+  char line[512];
+  while (std::fgets(line, sizeof line, f)) {
+    const std::string text = line;
+    if (!startsWith(text, "model name")) continue;
+    const auto colon = text.find(':');
+    if (colon != std::string::npos) {
+      model = std::string(trim(text.substr(colon + 1)));
+    }
+    break;
+  }
+  std::fclose(f);
+  return model;
+}
+
+/// The compiler that built this binary, as "<id> <major.minor.patch>".
+inline std::string compilerId() {
+#if defined(__clang__)
+  return "clang " + std::to_string(__clang_major__) + "." +
+         std::to_string(__clang_minor__) + "." +
+         std::to_string(__clang_patchlevel__);
+#elif defined(__GNUC__)
+  return "gcc " + std::to_string(__GNUC__) + "." +
+         std::to_string(__GNUC_MINOR__) + "." +
+         std::to_string(__GNUC_PATCHLEVEL__);
+#else
+  return "unknown";
+#endif
+}
+
 /// The machine-readable side of a bench run. Construct it right after
 /// Flags (it starts the wall clock and arms tracing from JEPO_TRACE /
 /// --trace), record config knobs and result rows while the bench prints
 /// its human-readable table, and `return report.finish();` from main.
 ///
 /// finish() writes the common schema
-///   {"bench": ..., "config": {...}, "rows": [{...}, ...],
+///   {"bench": ..., "host": {...}, "config": {...}, "rows": [{...}, ...],
 ///    "wallMs": ..., "counters": {...}}
+/// where "host" fingerprints the machine and build the numbers came from
+/// (cpuModel, cores, compiler, buildType): timings from different hosts
+/// are not comparable, and the fingerprint says which host a report is.
 /// to the --json path (validated in CI by scripts/check_bench_json.py) and
 /// dumps the Chrome trace if one was requested.
 class BenchReport {
@@ -188,6 +227,13 @@ class BenchReport {
     JsonWriter w;
     w.beginObject();
     w.kv("bench", bench_);
+    w.key("host");
+    w.beginObject();
+    w.kv("cpuModel", hostCpuModel());
+    w.kv("cores", std::max(1u, std::thread::hardware_concurrency()));
+    w.kv("compiler", compilerId());
+    w.kv("buildType", std::string(JEPO_BUILD_TYPE));
+    w.endObject();
     w.key("config");
     w.beginObject();
     for (const auto& [k, v] : config_) w.kv(k, v);

@@ -18,7 +18,10 @@
 // The frontier the paper's service-scale argument needs: overhead falls
 // roughly linearly in the sampling rate while attribution error stays
 // bounded, so sampled:64 buys near-uninstrumented speed at a few percent
-// error. Timings are best-of---runs to shed scheduler noise.
+// error. After one untimed warm-up round, every timed round runs the rows
+// round-robin in table order (bare, full, sampled:N..., hot); each row
+// reports its best round, shedding scheduler noise without favouring the
+// row that happens to run first.
 //
 // The bench exits 1 unless the kernel's acceptance bar holds: full-tier
 // overhead is positive and sampled at the coarsest rate sheds at least 5x
@@ -30,7 +33,7 @@
 //   --kernel-iters=<n> call-heavy kernel loop count (default 60000)
 //   --max-steps=<n>    VM step budget per profile (default 50000000)
 //   --seed=<n>         profile seed — replays any sampled run (default 2020)
-//   --runs=<n>         timing repetitions, best-of (default 3)
+//   --runs=<n>         timed round-robin rounds, best-of (default 3)
 #include "bench_common.hpp"
 #include "demo_project.hpp"
 
@@ -39,6 +42,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <optional>
 #include <stdexcept>
 
 #include "energy/machine.hpp"
@@ -91,43 +95,58 @@ struct TierRun {
   std::map<std::string, core::MethodTotals> totals;  // keyed by method
 };
 
+/// One table row: the uninstrumented run (no spec — the same compile and
+/// bytecode VM run as a profile, with no hooks at all) or a profile at
+/// the given tier.
+struct Row {
+  std::string label;
+  std::optional<jvm::TierSpec> spec;
+  TierRun run;
+};
+
 double secondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
 }
 
-/// Plain run, no hooks installed — the engine's fast path the tier work
-/// must not regress. Returns best-of-`runs` wall seconds.
-double timeUninstrumented(const jlang::Program& program, std::uint64_t steps,
-                          int runs) {
-  double best = 0.0;
-  for (int i = 0; i < runs; ++i) {
+/// Run `row` once and return its wall seconds. With `capture`, the profile's
+/// records and per-method totals are kept (they are seed-deterministic, so
+/// any round's are every round's).
+double runRow(const jlang::Program& program, Row& row, std::uint64_t steps,
+              std::uint64_t seed, bool capture) {
+  if (!row.spec) {
     const auto t0 = std::chrono::steady_clock::now();
     energy::SimMachine machine;
     bench::runOnVm(program, machine, steps);
-    const double s = secondsSince(t0);
-    if (i == 0 || s < best) best = s;
+    return secondsSince(t0);
   }
-  return best;
+  core::Profiler profiler;
+  profiler.setSeed(seed);
+  profiler.setTier(*row.spec);
+  const auto t0 = std::chrono::steady_clock::now();
+  profiler.profile(program, /*mainClass=*/{}, steps);
+  const double s = secondsSince(t0);
+  if (capture) {
+    row.run.records = profiler.records().size();
+    for (auto& t : profiler.totals()) row.run.totals[t.method] = t;
+  }
+  return s;
 }
 
-TierRun runTier(const jlang::Program& program, const jvm::TierSpec& spec,
-                std::uint64_t steps, std::uint64_t seed, int runs) {
-  TierRun out;
+/// One untimed warm-up round, then `runs` timed rounds that visit every
+/// row in table order; each row keeps its best round. Round-robin timing
+/// exposes every row to the same drift (frequency ramps, cache and
+/// allocator warm-up), which timing one row's repetitions back to back
+/// would charge to whichever row ran first.
+void timeRows(const jlang::Program& program, std::vector<Row>& rows,
+              std::uint64_t steps, std::uint64_t seed, int runs) {
+  for (auto& row : rows) (void)runRow(program, row, steps, seed, true);
   for (int i = 0; i < runs; ++i) {
-    core::Profiler profiler;
-    profiler.setSeed(seed);
-    profiler.setTier(spec);
-    const auto t0 = std::chrono::steady_clock::now();
-    profiler.profile(program, /*mainClass=*/{}, steps);
-    const double s = secondsSince(t0);
-    if (i == 0 || s < out.seconds) out.seconds = s;
-    if (i == 0) {
-      out.records = profiler.records().size();
-      for (auto& t : profiler.totals()) out.totals[t.method] = t;
+    for (auto& row : rows) {
+      const double s = runRow(program, row, steps, seed, false);
+      if (i == 0 || s < row.run.seconds) row.run.seconds = s;
     }
   }
-  return out;
 }
 
 /// Count-weighted estimate vs full-tier truth, package joules:
@@ -218,31 +237,35 @@ int main(int argc, char** argv) {
                     {Align::kLeft, Align::kRight, Align::kRight, Align::kRight,
                      Align::kRight});
 
-    const double bare = timeUninstrumented(w.program, maxSteps, runs);
-    report.addRow({{"name", w.name + "/uninstrumented"},
-                   {"realSecondsPerIter", bare}});
-    table.addRow({"(uninstrumented)", fixed(bare * 1e3, 2), "--", "0", "--"});
-
-    // Full tier first: its totals are every other tier's ground truth.
-    std::vector<std::pair<std::string, jvm::TierSpec>> specs;
-    specs.emplace_back("full", jvm::TierSpec{});
+    // Full tier first among the profiles: its totals are every other
+    // tier's ground truth.
+    std::vector<Row> rows;
+    rows.push_back({"(uninstrumented)", std::nullopt, {}});
+    rows.push_back({"full", jvm::TierSpec{}, {}});
     for (const auto n : rates) {
       jvm::TierSpec s;
       s.tier = jvm::InstrTier::kSampled;
       s.sampleEvery = n;
-      specs.emplace_back("sampled:" + std::to_string(n), s);
+      rows.push_back({"sampled:" + std::to_string(n), s, {}});
     }
     {
       jvm::TierSpec s;
       s.tier = jvm::InstrTier::kHot;
       s.hotThreshold = hotThreshold;
-      specs.emplace_back("hot:" + std::to_string(hotThreshold), s);
+      rows.push_back({"hot:" + std::to_string(hotThreshold), s, {}});
     }
+    timeRows(w.program, rows, maxSteps, seed, runs);
 
-    std::map<std::string, core::MethodTotals> truth;
-    for (const auto& [label, spec] : specs) {
-      const TierRun run = runTier(w.program, spec, maxSteps, seed, runs);
-      if (spec.tier == jvm::InstrTier::kFull) truth = run.totals;
+    const double bare = rows.front().run.seconds;
+    report.addRow({{"name", w.name + "/uninstrumented"},
+                   {"realSecondsPerIter", bare}});
+    table.addRow({"(uninstrumented)", fixed(bare * 1e3, 2), "--", "0", "--"});
+
+    const std::map<std::string, core::MethodTotals>& truth = rows[1].run.totals;
+    for (auto it = rows.begin() + 1; it != rows.end(); ++it) {
+      const std::string& label = it->label;
+      const jvm::TierSpec& spec = *it->spec;
+      const TierRun& run = it->run;
       const double errPct = attribErrorPct(truth, run.totals);
       const double overheadPct = (run.seconds / bare - 1.0) * 100.0;
       const double samplingRate =

@@ -1,9 +1,15 @@
 #!/usr/bin/env python3
 """Validate bench --json reports against the common schema.
 
-Every bench binary emits {bench, config, rows[], wallMs, counters{}} when
-run with --json=<path>. CI runs this validator over each artifact and fails
-the build on:
+Every bench binary emits {bench, host{}, config, rows[], wallMs,
+counters{}} when run with --json=<path>. CI runs this validator over each
+artifact and fails the build on:
+  - a report without its host fingerprint: "host" must be an object with
+    a non-empty string "cpuModel", "compiler" and "buildType" and a
+    positive integer "cores". Timings only compare within one host, so a
+    report that cannot say where it ran is rejected. Baseline bundles
+    (arrays of reports, the BENCH_PR*.json trajectory records) predate
+    the fingerprint and may omit it; where present it is checked;
   - unparseable JSON, or JSON containing NaN/Infinity literals (the C++
     writer renders non-finite doubles as null, so a literal NaN means a
     foreign/corrupt file);
@@ -404,6 +410,30 @@ def has_active_transport_plan(config):
     return isinstance(plan, str) and plan not in ("", "none")
 
 
+HOST_STRING_KEYS = ("cpuModel", "compiler", "buildType")
+
+
+def check_host(path, doc, required):
+    """Validate the report's host fingerprint (required on fresh reports)."""
+    if "host" not in doc:
+        return fail(path, "missing required key 'host' (host fingerprint: "
+                    "cpuModel, cores, compiler, buildType)") if required else 0
+    host = doc["host"]
+    if not isinstance(host, dict):
+        return fail(path, "'host' must be an object")
+    errors = 0
+    for key in HOST_STRING_KEYS:
+        value = host.get(key)
+        if not isinstance(value, str) or not value:
+            errors += fail(path, f"host.{key} must be a non-empty string, "
+                           f"got {value!r}")
+    cores = host.get("cores")
+    if isinstance(cores, bool) or not isinstance(cores, int) or cores < 1:
+        errors += fail(path, f"host.cores must be a positive integer, got "
+                       f"{cores!r}")
+    return errors
+
+
 def check_file(path):
     try:
         with open(path, encoding="utf-8") as f:
@@ -415,14 +445,17 @@ def check_file(path):
     if isinstance(doc, list):
         if not doc:
             return fail(path, "baseline array is empty")
-        return sum(check_report(path, report) for report in doc)
-    return check_report(path, doc)
+        return sum(check_report(path, report, host_required=False)
+                   for report in doc)
+    return check_report(path, doc, host_required=True)
 
 
-def check_report(path, doc):
+def check_report(path, doc, host_required):
     errors = 0
     if not isinstance(doc, dict):
         return fail(path, "report is not an object")
+
+    errors += check_host(path, doc, host_required)
 
     for key in ("bench", "config", "rows", "wallMs", "counters"):
         if key not in doc:

@@ -1,5 +1,7 @@
 #include "experiments/parallel_runner.hpp"
 
+#include <algorithm>
+#include <numeric>
 #include <optional>
 
 #include "obs/span.hpp"
@@ -32,15 +34,38 @@ std::vector<ClassifierResult> ParallelRunner::run() {
                                       config_);
   });
 
-  // ---- Phase 2: one protocol call over all 2×kinds measurement streams.
-  // The streams reference preps[k].data, which is stable from here on.
+  // ---- Phase 2: record each (classifier, style) workload once. Stream
+  // s = 2k + style; RandomForest's two recordings are the longest tasks,
+  // so they go first and never start last on an otherwise idle pool.
+  constexpr auto styles = static_cast<std::size_t>(detail::kStyleCount);
+  const std::size_t streamCount = styles * kinds;
+  const auto forest =
+      static_cast<std::size_t>(ml::ClassifierKind::kRandomForest);
+  std::vector<std::size_t> order(streamCount);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_partition(order.begin(), order.end(), [&](std::size_t s) {
+    return s / styles == forest;
+  });
+  std::vector<detail::StyleTrace> traces(streamCount);
+  parallelFor(pool, streamCount, [&](std::size_t i) {
+    const std::size_t s = order[i];
+    const auto kind = static_cast<ml::ClassifierKind>(s / styles);
+    const int style = static_cast<int>(s % styles);
+    const auto scope = watchdog.watch(
+        "record " + std::string(ml::classifierName(kind)) + " style " +
+        std::to_string(style));
+    traces[s] = detail::recordStyle(kind, style,
+                                    preps[s / styles], config_);
+  });
+
+  // ---- Phase 3: one protocol call over all 2×kinds measurement streams,
+  // each replaying its trace (stable from here on) into every measurement.
   std::vector<stats::IndexedMeasure> streams;
-  streams.reserve(2 * kinds);
-  for (std::size_t k = 0; k < kinds; ++k) {
-    for (auto& m : detail::makeStyleMeasures(
-             static_cast<ml::ClassifierKind>(k), preps[k], config_)) {
-      streams.push_back(std::move(m));
-    }
+  streams.reserve(streamCount);
+  for (std::size_t s = 0; s < streamCount; ++s) {
+    streams.push_back(detail::makeStyleMeasure(
+        static_cast<ml::ClassifierKind>(s / styles),
+        static_cast<int>(s % styles), traces[s], config_));
   }
   const stats::BatchExecutor exec =
       [&pool, &watchdog](const std::vector<std::function<void()>>& jobs) {
@@ -51,15 +76,15 @@ std::vector<ClassifierResult> ParallelRunner::run() {
         });
       };
   const auto protocols = [&] {
-    // prep/assemble spans come from the detail functions themselves (they
-    // run inside pool tasks); the measure phase is driven from here.
+    // prep/record/assemble spans come from the detail functions themselves
+    // (they run inside pool tasks); the measure phase is driven from here.
     obs::Span span("experiment.measure");
     return stats::measureManyWithTukeyLoop(
         streams, config_.runs, exec, /*maxRounds=*/50, /*fenceK=*/1.5,
         detail::kTukeyMetricColumns);
   }();
 
-  // ---- Phase 3: assemble, preserving the serial output ordering.
+  // ---- Phase 4: assemble, preserving the serial output ordering.
   // Rows whose measurements stayed invalid arrive flagged from
   // assembleResult — partial results, never an aborted matrix.
   std::vector<ClassifierResult> out;

@@ -37,118 +37,25 @@ std::unique_ptr<ml::Classifier> build(ClassifierKind kind,
   return ml::makeClassifier(kind, precision, rt, seed);
 }
 
-/// How one measurement stream runs the classifier: code style, exposure,
-/// precision, plus the style coordinate fed into deriveSeed.
+/// How one measurement stream runs the classifier: code style, exposure
+/// and precision.
 struct StyleSpec {
   ml::CodeStyle style;
   ml::StyleExposure exposure;
   ml::Precision precision;
-  int styleIndex = 0;  // 0 = baseline, 1 = optimized
 };
 
-StyleSpec baselineSpec() {
-  return {ml::CodeStyle::javaBaseline(), ml::StyleExposure::full(),
-          ml::Precision::kDouble, 0};
-}
-
-StyleSpec optimizedSpec(ClassifierKind kind,
-                        const WekaExperimentConfig& config) {
+StyleSpec styleSpec(ClassifierKind kind, int style,
+                    const WekaExperimentConfig& config) {
+  if (style == 0) {
+    return {ml::CodeStyle::javaBaseline(), ml::StyleExposure::full(),
+            ml::Precision::kDouble};
+  }
   const ml::StyleExposure exposure =
       config.exposureOverride
           ? ml::StyleExposure::of(*config.exposureOverride)
           : ml::StyleExposure::forClassifier(static_cast<int>(kind));
-  return {ml::CodeStyle::jepoOptimized(), exposure, ml::Precision::kFloat, 1};
-}
-
-/// One stream of the protocol. Every call builds a private PerfRunner and
-/// SimMachine; the noise RNG is seeded from (config.seed, kind, style,
-/// ordinal), so the returned row is a pure function of the stream identity
-/// and the ordinal — the determinism contract of the parallel runner.
-///
-/// Hardening: a measurement whose energy reading comes back kInvalid
-/// (fault plans, glitched intervals) is re-attempted up to
-/// config.measurementAttempts times with a fresh fault stream per attempt;
-/// an exhausted budget keeps the invalid stat so the row surfaces as
-/// flagged downstream. A measurement that throws becomes an all-zero
-/// kInvalid row — a partial result, never an aborted experiment.
-stats::IndexedMeasure makeStyleMeasure(ClassifierKind kind,
-                                       const StyleSpec& spec,
-                                       const ml::Instances& data,
-                                       const WekaExperimentConfig& config) {
-  return [kind, spec, &data, &config](int ordinal) {
-    const energy::CostModel model =
-        config.costModel ? *config.costModel : energy::CostModel::calibrated();
-    perf::PerfRunner runner =
-        config.withNoise
-            ? perf::PerfRunner(
-                  perf::PerfRunner::kDefaultNoise,
-                  deriveSeed(config.seed, static_cast<std::uint64_t>(kind),
-                             static_cast<std::uint64_t>(spec.styleIndex)))
-            : perf::PerfRunner::exact();
-    if (config.faultPlan && config.faultPlan->active()) {
-      // Decorrelate the fault stream per (classifier, style) so the same
-      // plan drives different fault schedules in different streams, the
-      // way independent real-world runs would fail independently.
-      fault::FaultSpec spec2 = *config.faultPlan;
-      spec2.seed = deriveSeed(config.faultPlan->seed,
-                              static_cast<std::uint64_t>(kind),
-                              static_cast<std::uint64_t>(spec.styleIndex));
-      runner.setFaultPlan(std::move(spec2));
-    }
-
-    double accuracy = 0.0;
-    const auto workload = [&](energy::SimMachine& machine) {
-      ml::MlRuntime rt(machine, spec.style, spec.exposure);
-      Rng cvRng(config.seed + 17);
-      accuracy = ml::crossValidate(
-          [&] {
-            return build(kind, spec.precision, rt, config.seed + 99,
-                         config.forestTrees);
-          },
-          data, config.folds, cvRng);
-    };
-
-    perf::PerfStat stat;
-    int retries = 0;
-    int attempt = 0;
-    const int attempts = std::max(1, config.measurementAttempts);
-    try {
-      for (; attempt < attempts; ++attempt) {
-        stat = runner.statAt(static_cast<std::uint64_t>(ordinal), attempt,
-                             workload, model);
-        retries += stat.readRetries;
-        if (stat.quality != rapl::MeasurementQuality::kInvalid) break;
-        obs::Registry::global()
-            .counter("experiment.measurement.invalid")
-            .add();
-      }
-      if (attempt > 0 &&
-          stat.quality != rapl::MeasurementQuality::kInvalid) {
-        // The re-measurement succeeded; remember that it took retries.
-        stat.quality =
-            worst(stat.quality, rapl::MeasurementQuality::kRetried);
-        obs::Registry::global()
-            .counter("experiment.measurement.retried")
-            .add();
-      }
-      retries += std::min(attempt, attempts - 1);
-    } catch (const std::exception&) {
-      obs::Registry::global().counter("experiment.measurement.error").add();
-      stat = perf::PerfStat{};
-      stat.quality = rapl::MeasurementQuality::kInvalid;
-    }
-
-    // Accuracy rides along as a fourth metric column: it is identical in
-    // every run (the CV seeds are fixed), so it can never trip a Tukey
-    // fence, and the protocol mean recovers it without shared state. The
-    // quality/retries bookkeeping columns after it are excluded from the
-    // fences via kTukeyMetricColumns.
-    std::vector<double> row = stat.asRow();
-    row.push_back(accuracy);
-    row.push_back(static_cast<double>(static_cast<int>(stat.quality)));
-    row.push_back(static_cast<double>(retries));
-    return row;
-  };
+  return {ml::CodeStyle::jepoOptimized(), exposure, ml::Precision::kFloat};
 }
 
 /// Ordinal-stream tag for the bootstrap resamples, keeping the interval
@@ -295,12 +202,119 @@ ClassifierPrep prepClassifier(ClassifierKind kind,
   return prep;
 }
 
-std::vector<stats::IndexedMeasure> makeStyleMeasures(
-    ClassifierKind kind, const ClassifierPrep& prep,
-    const WekaExperimentConfig& config) {
-  return {makeStyleMeasure(kind, baselineSpec(), *prep.data, config),
-          makeStyleMeasure(kind, optimizedSpec(kind, config), *prep.data,
-                           config)};
+StyleTrace recordStyle(ClassifierKind kind, int style,
+                       const ClassifierPrep& prep,
+                       const WekaExperimentConfig& config) {
+  obs::Span span("experiment.record");
+  obs::Registry::global().counter("experiment.workload.recorded").add();
+  const StyleSpec spec = styleSpec(kind, style, config);
+  StyleTrace trace;
+  energy::SimMachine machine;
+  try {
+    ml::MlRuntime rt(machine, spec.style, spec.exposure);
+    Rng cvRng(config.seed + 17);
+    trace.accuracy = ml::crossValidate(
+        [&] {
+          return build(kind, spec.precision, rt, config.seed + 99,
+                       config.forestTrees);
+        },
+        *prep.data, config.folds, cvRng);
+  } catch (const std::exception& e) {
+    trace.threw = true;
+    trace.error = e.what();
+  }
+  trace.counts = machine.meter().counts();
+  return trace;
+}
+
+double replayStyle(const StyleTrace& trace, energy::SimMachine& machine) {
+  if (trace.threw) throw Error(trace.error);
+  for (std::size_t i = 0; i < energy::kOpCount; ++i) {
+    machine.charge(static_cast<energy::Op>(i), trace.counts[i]);
+  }
+  return trace.accuracy;
+}
+
+perf::PerfRunner styleRunner(ClassifierKind kind, int style,
+                             const WekaExperimentConfig& config) {
+  const auto kindU = static_cast<std::uint64_t>(kind);
+  const auto styleU = static_cast<std::uint64_t>(style);
+  perf::PerfRunner runner =
+      config.withNoise
+          ? perf::PerfRunner(perf::PerfRunner::kDefaultNoise,
+                             deriveSeed(config.seed, kindU, styleU))
+          : perf::PerfRunner::exact();
+  if (config.faultPlan && config.faultPlan->active()) {
+    // Decorrelate the fault stream per (classifier, style) so the same
+    // plan drives different fault schedules in different streams, the
+    // way independent real-world runs would fail independently.
+    fault::FaultSpec spec = *config.faultPlan;
+    spec.seed = deriveSeed(config.faultPlan->seed, kindU, styleU);
+    runner.setFaultPlan(std::move(spec));
+  }
+  return runner;
+}
+
+/// Hardening: a measurement whose energy reading comes back kInvalid
+/// (fault plans, glitched intervals) is re-attempted up to
+/// config.measurementAttempts times with a fresh fault stream per attempt;
+/// an exhausted budget keeps the invalid stat so the row surfaces as
+/// flagged downstream. A measurement that throws (a recorded workload
+/// failure, say) becomes an all-zero kInvalid row — a partial result,
+/// never an aborted experiment.
+stats::IndexedMeasure makeStyleMeasure(ClassifierKind kind, int style,
+                                       const StyleTrace& trace,
+                                       const WekaExperimentConfig& config) {
+  return [runner = styleRunner(kind, style, config), &trace,
+          &config](int ordinal) {
+    const energy::CostModel model =
+        config.costModel ? *config.costModel : energy::CostModel::calibrated();
+    double accuracy = 0.0;
+    const auto workload = [&](energy::SimMachine& machine) {
+      accuracy = replayStyle(trace, machine);
+    };
+
+    perf::PerfStat stat;
+    int retries = 0;
+    int attempt = 0;
+    const int attempts = std::max(1, config.measurementAttempts);
+    try {
+      for (; attempt < attempts; ++attempt) {
+        stat = runner.statAt(static_cast<std::uint64_t>(ordinal), attempt,
+                             workload, model);
+        retries += stat.readRetries;
+        if (stat.quality != rapl::MeasurementQuality::kInvalid) break;
+        obs::Registry::global()
+            .counter("experiment.measurement.invalid")
+            .add();
+      }
+      if (attempt > 0 &&
+          stat.quality != rapl::MeasurementQuality::kInvalid) {
+        // The re-measurement succeeded; remember that it took retries.
+        stat.quality =
+            worst(stat.quality, rapl::MeasurementQuality::kRetried);
+        obs::Registry::global()
+            .counter("experiment.measurement.retried")
+            .add();
+      }
+      retries += std::min(attempt, attempts - 1);
+    } catch (const std::exception&) {
+      obs::Registry::global().counter("experiment.measurement.error").add();
+      stat = perf::PerfStat{};
+      stat.quality = rapl::MeasurementQuality::kInvalid;
+    }
+
+    // Accuracy rides along as a fourth metric column: it is identical in
+    // every run (the CV seeds are fixed), so it can never trip a Tukey
+    // fence, and the protocol mean recovers it without shared state. The
+    // quality/retries bookkeeping columns after it are excluded from the
+    // fences via kTukeyMetricColumns.
+    std::vector<double> row = stat.asRow();
+    row.push_back(accuracy);
+    row.push_back(static_cast<double>(static_cast<int>(stat.quality)));
+    row.push_back(static_cast<double>(retries));
+    return row;
+  };
 }
 
 ClassifierResult assembleResult(ClassifierKind kind,
@@ -392,8 +406,16 @@ ClassifierResult assembleResult(ClassifierKind kind,
 ClassifierResult runClassifierExperiment(ClassifierKind kind,
                                          const WekaExperimentConfig& config) {
   const detail::ClassifierPrep prep = detail::prepClassifier(kind, config);
-  const std::vector<stats::IndexedMeasure> streams =
-      detail::makeStyleMeasures(kind, prep, config);
+  std::vector<detail::StyleTrace> traces;
+  std::vector<stats::IndexedMeasure> streams;
+  traces.reserve(detail::kStyleCount);
+  for (int style = 0; style < detail::kStyleCount; ++style) {
+    traces.push_back(detail::recordStyle(kind, style, prep, config));
+  }
+  for (int style = 0; style < detail::kStyleCount; ++style) {
+    streams.push_back(detail::makeStyleMeasure(
+        kind, style, traces[static_cast<std::size_t>(style)], config));
+  }
   const auto protocols = [&] {
     obs::Span span("experiment.measure");
     return stats::measureManyWithTukeyLoop(

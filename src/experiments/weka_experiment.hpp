@@ -3,13 +3,23 @@
 //   per classifier:
 //     changes      = Optimizer change count over the classifier's corpus
 //     baseline     = 10-fold stratified CV, WEKA-as-shipped CodeStyle,
-//                    double precision, measured by the perf runner
+//                    double precision
 //     optimized    = same CV, JEPO-optimized CodeStyle at the classifier's
 //                    hot-path exposure, float precision
-//     both measured `runs` times under the Tukey re-measurement protocol
+//     record       = each style's CV runs once, on a scratch machine; its
+//                    op counts and accuracy are the style's trace
+//     measure      = each trace replayed into `runs` perf measurements
+//                    under the Tukey re-measurement protocol
 //     improvements = (baseline - optimized) / baseline for package energy,
 //                    CPU (core) energy, and execution time
 //     accuracyDrop = baseline accuracy - optimized accuracy (pct points)
+//
+// Record once, replay many: a stream's work is deterministic, so every
+// measurement of it charges the same op counts and scores the same
+// accuracy; only the perf runner's noise and fault streams depend on the
+// measurement ordinal. Replaying the counts keeps every measurement (noise,
+// faults, retries, RAPL reads, Tukey loop) and drops only the repeated
+// cross-validation — the rows are bit-identical to running it each time.
 //
 // bench_table4, bench_scaling_instances and the ablation benches all run
 // through this module with different configs.
@@ -20,12 +30,16 @@
 // produce bit-identical ClassifierResult rows at any thread count.
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "energy/cost_model.hpp"
+#include "energy/machine.hpp"
 #include "fault/fault.hpp"
 #include "ml/classifier.hpp"
+#include "perf/perf.hpp"
 #include "rapl/quality.hpp"
 #include "stats/bootstrap.hpp"
 #include "stats/protocol.hpp"
@@ -182,14 +196,51 @@ inline constexpr int kTukeyMetricColumns = 4;  // {pkg J, core J, s, acc}
 inline constexpr int kQualityColumn = 4;
 inline constexpr int kRetriesColumn = 5;
 
-/// The two measurement streams (baseline, optimized) for one classifier.
-/// Each stream returns {package J, core J, seconds, accuracy, quality,
-/// retries} and derives its noise RNG from deriveSeed(config.seed, kind,
-/// style, ordinal) — no shared mutable state. `prep` and `config` must
-/// outlive the streams.
-std::vector<stats::IndexedMeasure> makeStyleMeasures(
-    ml::ClassifierKind kind, const ClassifierPrep& prep,
-    const WekaExperimentConfig& config);
+/// The measurement streams of one classifier: 0 = baseline (WEKA as
+/// shipped, double precision), 1 = JEPO-optimized (float precision at the
+/// classifier's exposure). The index is the style coordinate of deriveSeed.
+inline constexpr int kStyleCount = 2;
+
+/// The deterministic work of one (classifier, style) stream, recorded once:
+/// the op counts its cross-validation charges and the accuracy it scores.
+/// Every measurement of the stream charges exactly these counts, so the
+/// protocol replays them instead of re-running the classifiers.
+struct StyleTrace {
+  energy::OpArray<std::uint64_t> counts{};
+  double accuracy = 0.0;
+  /// The workload threw; every replay rethrows `error`.
+  bool threw = false;
+  std::string error;
+};
+
+/// Run the stream's config.folds-fold cross-validation once on a scratch
+/// SimMachine. Pure function of (kind, style, prep, config); the cost model
+/// is not an input (it prices the counts at replay).
+StyleTrace recordStyle(ml::ClassifierKind kind, int style,
+                       const ClassifierPrep& prep,
+                       const WekaExperimentConfig& config);
+
+/// The workload body of a replayed measurement: charge each recorded count
+/// once onto `machine` and return the recorded accuracy; rethrows a
+/// recorded failure. The classifiers never sync or sample the machine
+/// mid-run, so the perf runner's single sync prices the same deltas in the
+/// same op order as the live run — the stat is bit-identical.
+double replayStyle(const StyleTrace& trace, energy::SimMachine& machine);
+
+/// The stream's private perf runner: noise seeded from
+/// deriveSeed(config.seed, kind, style) (exact when config.withNoise is
+/// off), fault plan re-seeded from (plan seed, kind, style).
+perf::PerfRunner styleRunner(ml::ClassifierKind kind, int style,
+                             const WekaExperimentConfig& config);
+
+/// One measurement stream, returning {package J, core J, seconds,
+/// accuracy, quality, retries}. Each ordinal builds a fresh SimMachine
+/// through styleRunner(...).statAt and replays `trace` into it; the row is
+/// a pure function of the stream identity and the ordinal. `trace` and
+/// `config` must outlive the stream.
+stats::IndexedMeasure makeStyleMeasure(ml::ClassifierKind kind, int style,
+                                       const StyleTrace& trace,
+                                       const WekaExperimentConfig& config);
 
 /// Fold the two protocol results into the Table IV row, guarding the
 /// improvement ratios against zero-cost baselines and stamping the

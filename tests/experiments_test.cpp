@@ -4,6 +4,9 @@
 
 #include "energy/op.hpp"
 #include "experiments/weka_experiment.hpp"
+#include "ml/evaluation.hpp"
+#include "ml/forest.hpp"
+#include "obs/registry.hpp"
 
 namespace jepo::experiments {
 namespace {
@@ -312,6 +315,148 @@ TEST(Experiments, NoisyProtocolStaysNearExactResult) {
   const auto measured = runClassifierExperiment(ClassifierKind::kSgd, noisy);
   // Tukey scrubbing keeps the noisy estimate within ~1.5pp of truth.
   EXPECT_NEAR(measured.packageImprovement, clean.packageImprovement, 1.5);
+}
+
+// The measurement workload before record/replay, kept verbatim as the
+// oracle: the stream's whole cross-validation, run on the measured machine.
+double liveCrossValidation(ClassifierKind kind, int style,
+                           const ml::Instances& data,
+                           const WekaExperimentConfig& cfg,
+                           energy::SimMachine& machine) {
+  const bool baseline = style == 0;
+  const ml::Precision precision =
+      baseline ? ml::Precision::kDouble : ml::Precision::kFloat;
+  ml::MlRuntime rt(machine,
+                   baseline ? ml::CodeStyle::javaBaseline()
+                            : ml::CodeStyle::jepoOptimized(),
+                   baseline ? ml::StyleExposure::full()
+                            : ml::StyleExposure::forClassifier(
+                                  static_cast<int>(kind)));
+  Rng cvRng(cfg.seed + 17);
+  return ml::crossValidate(
+      [&]() -> std::unique_ptr<ml::Classifier> {
+        if (kind == ClassifierKind::kRandomForest) {
+          ml::ForestOptions opts;
+          opts.numTrees = cfg.forestTrees;
+          if (precision == ml::Precision::kDouble) {
+            return std::make_unique<ml::RandomForest<double>>(
+                rt, opts, Rng(cfg.seed + 99));
+          }
+          return std::make_unique<ml::RandomForest<float>>(
+              rt, opts, Rng(cfg.seed + 99));
+        }
+        return ml::makeClassifier(kind, precision, rt, cfg.seed + 99);
+      },
+      data, cfg.folds, cvRng);
+}
+
+// Replaying a stream's recorded op counts must measure exactly what running
+// its cross-validation live measures: same noise, same fault schedule, same
+// RAPL reads, bit for bit — for every classifier, style, ordinal and plan.
+void expectReplayMatchesLive(const std::optional<fault::FaultSpec>& plan) {
+  WekaExperimentConfig cfg = fastConfig();
+  cfg.instances = 200;
+  cfg.withNoise = true;
+  cfg.faultPlan = plan;
+  const energy::CostModel model = energy::CostModel::calibrated();
+  int imperfect = 0;
+  for (int k = 0; k < ml::kClassifierKindCount; ++k) {
+    const auto kind = static_cast<ClassifierKind>(k);
+    const detail::ClassifierPrep prep = detail::prepClassifier(kind, cfg);
+    for (int style = 0; style < detail::kStyleCount; ++style) {
+      SCOPED_TRACE(std::string(ml::classifierName(kind)) + " style " +
+                   std::to_string(style));
+      const detail::StyleTrace trace =
+          detail::recordStyle(kind, style, prep, cfg);
+      const detail::StyleTrace again =
+          detail::recordStyle(kind, style, prep, cfg);
+      ASSERT_FALSE(trace.threw) << trace.error;
+      EXPECT_EQ(trace.counts, again.counts);
+      EXPECT_EQ(trace.accuracy, again.accuracy);
+
+      const perf::PerfRunner runner = detail::styleRunner(kind, style, cfg);
+      for (std::uint64_t ordinal = 0; ordinal < 12; ++ordinal) {
+        for (int attempt = 0; attempt < 2; ++attempt) {
+          SCOPED_TRACE("ordinal " + std::to_string(ordinal) + " attempt " +
+                       std::to_string(attempt));
+          double liveAccuracy = -1.0;
+          double replayAccuracy = -2.0;
+          const perf::PerfStat live = runner.statAt(
+              ordinal, attempt,
+              [&](energy::SimMachine& m) {
+                liveAccuracy =
+                    liveCrossValidation(kind, style, *prep.data, cfg, m);
+              },
+              model);
+          const perf::PerfStat replay = runner.statAt(
+              ordinal, attempt,
+              [&](energy::SimMachine& m) {
+                replayAccuracy = detail::replayStyle(trace, m);
+              },
+              model);
+          EXPECT_EQ(live.seconds, replay.seconds);
+          EXPECT_EQ(live.packageJoules, replay.packageJoules);
+          EXPECT_EQ(live.coreJoules, replay.coreJoules);
+          EXPECT_EQ(live.dramJoules, replay.dramJoules);
+          EXPECT_EQ(live.quality, replay.quality);
+          EXPECT_EQ(live.readRetries, replay.readRetries);
+          EXPECT_EQ(live.packageOnly, replay.packageOnly);
+          EXPECT_EQ(liveAccuracy, replayAccuracy);
+          if (replay.quality != rapl::MeasurementQuality::kOk) ++imperfect;
+        }
+      }
+    }
+  }
+  if (plan) {
+    EXPECT_GT(imperfect, 0) << "plan injected nothing; identity is vacuous";
+  }
+}
+
+TEST(Experiments, ReplayedTraceMeasuresLikeLiveRunWithoutFaults) {
+  expectReplayMatchesLive(std::nullopt);
+}
+
+TEST(Experiments, ReplayedTraceMeasuresLikeLiveRunUnderTransientPlan) {
+  expectReplayMatchesLive(fault::parseFaultPlan("transient"));
+}
+
+TEST(Experiments, ReplayedTraceMeasuresLikeLiveRunUnderChaosPlan) {
+  expectReplayMatchesLive(fault::parseFaultPlan("chaos"));
+}
+
+TEST(Experiments, ReplayedTraceMeasuresLikeLiveRunUnderNoDramPlan) {
+  expectReplayMatchesLive(fault::parseFaultPlan("no-dram"));
+}
+
+// Record once, replay many: a run records each (classifier, style) workload
+// exactly once at any thread count, while the measurement protocol keeps
+// every initial run and every Tukey re-measurement.
+TEST(Experiments, RecordsEachWorkloadOnceWhileProtocolKeepsEveryMeasurement) {
+  WekaExperimentConfig cfg = fastConfig();
+  cfg.instances = 200;
+  cfg.withNoise = true;
+  obs::Counter& recorded =
+      obs::Registry::global().counter("experiment.workload.recorded");
+  obs::Counter& measured =
+      obs::Registry::global().counter("perf.measurements");
+  const std::uint64_t streams =
+      static_cast<std::uint64_t>(detail::kStyleCount) *
+      ml::kClassifierKindCount;
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    cfg.parallel.threads = threads;
+    const std::uint64_t recorded0 = recorded.value();
+    const std::uint64_t measured0 = measured.value();
+    const auto rows = runWekaExperiment(cfg);
+    std::uint64_t remeasured = 0;
+    for (const auto& row : rows) {
+      remeasured += static_cast<std::uint64_t>(row.tukeyRemeasurements);
+    }
+    EXPECT_GT(remeasured, 0u) << "no Tukey round ran; the count is vacuous";
+    EXPECT_EQ(recorded.value() - recorded0, streams);
+    EXPECT_EQ(measured.value() - measured0,
+              streams * static_cast<std::uint64_t>(cfg.runs) + remeasured);
+  }
 }
 
 }  // namespace
